@@ -2,7 +2,7 @@
 //! CSALT): they must translate correctly and show the cost structure
 //! the paper attributes to them.
 
-use flatwalk::baselines::{AsapScheme, EchScheme, PomTlbScheme, SchemeSimulation};
+use flatwalk::baselines::{AsapScheme, EchScheme, MitosisScheme, PomTlbScheme, SchemeSimulation};
 use flatwalk::sim::{NativeSimulation, SimOptions, TranslationConfig};
 use flatwalk::workloads::WorkloadSpec;
 
@@ -115,4 +115,34 @@ fn schemes_are_deterministic() {
     let b = SchemeSimulation::build(spec, EchScheme::new(scaled.footprint, false), &o).run();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.walk.accesses, b.walk.accesses);
+}
+
+/// On a 1-node machine the scheme-path NUMA-Base column
+/// (`MitosisScheme` with replication off) is a plain PSC-accelerated
+/// radix walk of the conventional table, so it must equal the MMU's
+/// Base run on every number both paths fill. Scheme reports leave
+/// `step_hits` and `pwc` empty, so those are not compared.
+#[test]
+fn one_node_numa_base_scheme_equals_mmu_base() {
+    let o = SimOptions::small_test();
+    for spec in [
+        WorkloadSpec::gups().scaled_mib(64),
+        WorkloadSpec::xsbench().scaled_mib(64),
+    ] {
+        let base = NativeSimulation::build(spec.clone(), TranslationConfig::baseline(), &o).run();
+        let scheme = MitosisScheme::new(o.hierarchy.numa.clone(), false, o.pwc.clone());
+        let numa_base = SchemeSimulation::build(spec.clone(), scheme, &o).run();
+        let name = spec.name;
+        assert_eq!(numa_base.instructions, base.instructions, "{name}");
+        assert_eq!(numa_base.cycles, base.cycles, "{name}: cycles");
+        assert_eq!(numa_base.walk.walks, base.walk.walks, "{name}: walks");
+        assert_eq!(
+            numa_base.walk.accesses, base.walk.accesses,
+            "{name}: walk accesses"
+        );
+        assert_eq!(
+            numa_base.walk.latency, base.walk.latency,
+            "{name}: walk latency"
+        );
+    }
 }

@@ -19,8 +19,11 @@
 
 use std::path::PathBuf;
 
-use flatwalk::baselines::{AsapScheme, EchScheme, PomTlbScheme, SchemeSimulation};
+use flatwalk::baselines::{
+    AsapScheme, EchScheme, MitosisScheme, PomTlbScheme, SchemeSimulation, VictimaScheme,
+};
 use flatwalk::faults::{self, FaultPlan};
+use flatwalk::mem::NumaTopology;
 use flatwalk::sim::{
     table2_mixes, MulticoreSimulation, NativeSimulation, SimOptions, TranslationConfig, VirtConfig,
     VirtualizedSimulation,
@@ -150,6 +153,34 @@ fn engine_reports_match_pre_unification_goldens() {
     let r =
         SchemeSimulation::build(spec.clone(), PomTlbScheme::new(16 << 20, o.pwc.clone()), &o).run();
     run("scheme_POM_TLB".into(), r.to_json().to_string());
+    let r = SchemeSimulation::build(
+        spec.clone(),
+        PomTlbScheme::new(16 << 20, o.pwc.clone()).csalt(),
+        &o,
+    )
+    .run();
+    run("scheme_CSALT".into(), r.to_json().to_string());
+    let r = SchemeSimulation::build(
+        spec.clone(),
+        VictimaScheme::new(64 << 10, o.pwc.clone()),
+        &o,
+    )
+    .run();
+    run("scheme_Victima".into(), r.to_json().to_string());
+
+    // NUMA rivals on a 2-node machine, where Mitosis's pinned entry
+    // addresses and replica writes change the DRAM/NUMA bytes.
+    let topo = NumaTopology::nodes(2);
+    let mut numa = native_opts();
+    numa.hierarchy = numa.hierarchy.clone().with_numa(topo.clone());
+    for replicate in [false, true] {
+        let scheme = MitosisScheme::new(topo.clone(), replicate, numa.pwc.clone());
+        let r = SchemeSimulation::build(spec.clone(), scheme, &numa).run();
+        run(
+            format!("scheme_{}_2node", slug(r.config)),
+            r.to_json().to_string(),
+        );
+    }
 
     // Fault-seeded cells: mid-run shootdowns must land on identical
     // stream positions in every engine.
