@@ -15,11 +15,12 @@
 //!   the OS cannot guarantee — [`AsapScheme::with_contiguity`] models
 //!   partial availability (prefetching is disabled for the remainder).
 
-use flatwalk_mem::MemoryHierarchy;
-use flatwalk_pt::{resolve, NodeShape};
+use flatwalk_mem::{HitLevel, MemoryHierarchy};
+use flatwalk_mmu::{walk_radix, StepHook};
+use flatwalk_pt::WalkStep;
 use flatwalk_tlb::{Pwc, PwcConfig};
 use flatwalk_types::rng::SplitMix64;
-use flatwalk_types::{AccessKind, OwnerId, VirtAddr};
+use flatwalk_types::{AccessKind, OwnerId, PhysAddr, VirtAddr};
 
 use crate::{Scheme, SchemeWalk, WalkCtx};
 
@@ -31,6 +32,8 @@ pub struct AsapScheme {
     /// successfully allocated contiguously (1.0 = ideal).
     contiguity: f64,
     rng: SplitMix64,
+    /// Entry addresses of the current walk, for the re-read pass.
+    prefetched: Vec<PhysAddr>,
 }
 
 impl AsapScheme {
@@ -40,6 +43,7 @@ impl AsapScheme {
             pwc: Pwc::new(pwc),
             contiguity: 1.0,
             rng: SplitMix64::new(0xA5A9),
+            prefetched: Vec::new(),
         }
     }
 
@@ -67,66 +71,63 @@ impl Scheme for AsapScheme {
         hier: &mut MemoryHierarchy,
         owner: OwnerId,
     ) -> Result<SchemeWalk, flatwalk_pt::WalkError> {
-        let walk = resolve(ctx.store, ctx.table, va)?;
-        let cum = walk.steps.cum_index_bits();
-
-        let mut latency = self.pwc.latency();
-        let mut first_step = 0usize;
-        if let Some(hit) = self.pwc.lookup(va) {
-            if let Some(i) = cum.iter().position(|&c| c == hit.prefix_bits) {
-                if i + 1 < walk.steps.len() {
-                    first_step = i + 1;
-                }
-            }
-        }
-
-        let prefetchable = self.rng.chance(self.contiguity);
-        let mut accesses = 0u64;
-        if prefetchable {
-            // All remaining entry addresses are computed up front and
-            // fetched in parallel; the walker then re-reads each
-            // prefetched line from the L1 (extra traffic, hidden
-            // latency).
-            let mut max_latency = 0u64;
-            for step in &walk.steps[first_step..] {
-                let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-                max_latency = max_latency.max(out.latency);
-                accesses += 1;
-            }
-            // Re-access of the prefetched entries (now L1-resident);
-            // pipelined behind the prefetch, so it adds traffic but no
-            // serial latency.
-            for step in &walk.steps[first_step..] {
-                let _ = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-                accesses += 1;
-            }
-            latency += max_latency;
-        } else {
+        if !self.rng.chance(self.contiguity) {
             // No contiguous arrays: ordinary serial walk.
-            for step in &walk.steps[first_step..] {
-                let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-                latency += out.latency;
-                accesses += 1;
-            }
-        }
-
-        // Train the PWC like a conventional walker.
-        for i in first_step..walk.steps.len().saturating_sub(1) {
-            let next = &walk.steps[i + 1];
-            self.pwc.insert(
+            return walk_radix(
+                &mut self.pwc,
+                ctx.store,
+                ctx.table,
                 va,
-                cum[i],
-                next.node_base,
-                NodeShape::from_depth(next.depth).expect("valid step"),
-            );
+                hier,
+                owner,
+                &mut (),
+            )
+            .map(SchemeWalk::from);
         }
-
+        // All remaining entry addresses are computed up front and
+        // fetched in parallel; the walker then re-reads each prefetched
+        // line from the L1 (extra traffic, hidden latency).
+        self.prefetched.clear();
+        let mut prefetch = Prefetch(&mut self.prefetched);
+        let w = walk_radix(
+            &mut self.pwc,
+            ctx.store,
+            ctx.table,
+            va,
+            hier,
+            owner,
+            &mut prefetch,
+        )?;
+        // Re-access of the prefetched entries (now L1-resident);
+        // pipelined behind the prefetch, so it adds traffic but no
+        // serial latency.
+        for &addr in &self.prefetched {
+            let _ = hier.access(addr, AccessKind::PageTable, owner);
+        }
         Ok(SchemeWalk {
-            pa: walk.pa,
-            size: walk.size,
-            latency,
-            accesses,
+            accesses: 2 * w.accesses,
+            ..w.into()
         })
+    }
+}
+
+/// ASAP's prefetching step hook: entry reads overlap (the walk's step
+/// latency is their max) and each one is remembered for the re-read.
+struct Prefetch<'a>(&'a mut Vec<PhysAddr>);
+
+impl StepHook for Prefetch<'_> {
+    fn combine(&mut self, total: u64, latency: u64) -> u64 {
+        total.max(latency)
+    }
+
+    fn observe(
+        &mut self,
+        _step: &WalkStep,
+        addr: PhysAddr,
+        _level: HitLevel,
+        _hier: &mut MemoryHierarchy,
+    ) {
+        self.0.push(addr);
     }
 }
 
@@ -135,7 +136,7 @@ mod tests {
     use super::*;
     use flatwalk_mem::HierarchyConfig;
     use flatwalk_pt::{BumpAllocator, FlattenEverywhere, FrameStore, Layout, Mapper};
-    use flatwalk_types::{PageSize, PhysAddr};
+    use flatwalk_types::PageSize;
 
     fn oracle() -> (FrameStore, Mapper) {
         let mut store = FrameStore::new();

@@ -11,7 +11,7 @@
 //! performance loss at 0 % large pages.
 
 use flatwalk_mem::MemoryHierarchy;
-use flatwalk_pt::resolve;
+use flatwalk_pt::translate;
 use flatwalk_types::rng::SplitMix64;
 use flatwalk_types::{AccessKind, OwnerId, VirtAddr};
 
@@ -79,7 +79,7 @@ impl Scheme for EchScheme {
         owner: OwnerId,
     ) -> Result<SchemeWalk, flatwalk_pt::WalkError> {
         // The oracle provides the actual translation.
-        let oracle = resolve(ctx.store, ctx.table, va)?;
+        let (pa, size) = translate(ctx.store, ctx.table, va)?;
 
         let vpn = va.raw() >> 12;
         let mut max_latency = 0u64;
@@ -107,8 +107,8 @@ impl Scheme for EchScheme {
         }
 
         Ok(SchemeWalk {
-            pa: oracle.pa,
-            size: oracle.size,
+            pa,
+            size,
             latency: max_latency,
             accesses,
         })

@@ -1,11 +1,15 @@
 //! Behavioural models of the translation schemes the paper compares
-//! against (§2, Fig. 9/13): Elastic Cuckoo Hashing, ASAP prefetched
-//! translation, POM_TLB, and CSALT.
+//! against (§2, Fig. 9/13) — Elastic Cuckoo Hashing, ASAP prefetched
+//! translation, POM_TLB, and CSALT — plus two later rivals: Victima's
+//! L2-resident TLB entries and Mitosis's per-node page-table
+//! replication (with replication off, the NUMA-Base column).
 //!
 //! All schemes share the front-side TLBs, the cache hierarchy, the
 //! workloads, and the timing proxy with the main simulator
 //! ([`SchemeSimulation`]); only the post-TLB-miss translation machinery
-//! differs. See each module for the modelling notes.
+//! differs. Every radix walk a scheme takes is the MMU's
+//! [`flatwalk_mmu::walk_radix`] kernel with a scheme-specific step hook.
+//! See each module for the modelling notes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

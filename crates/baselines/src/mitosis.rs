@@ -22,10 +22,11 @@
 
 use std::collections::HashSet;
 
-use flatwalk_mem::{pin_to_node, MemoryHierarchy, NumaTopology};
-use flatwalk_pt::{resolve, NodeShape};
+use flatwalk_mem::{pin_to_node, HitLevel, MemoryHierarchy, NumaTopology};
+use flatwalk_mmu::{walk_radix, StepHook};
+use flatwalk_pt::{WalkError, WalkStep};
 use flatwalk_tlb::{Pwc, PwcConfig};
-use flatwalk_types::{AccessKind, OwnerId, VirtAddr};
+use flatwalk_types::{AccessKind, OwnerId, PhysAddr, VirtAddr};
 
 use crate::{Scheme, SchemeWalk, WalkCtx};
 
@@ -92,69 +93,85 @@ impl Scheme for MitosisScheme {
         hier: &mut MemoryHierarchy,
         owner: OwnerId,
     ) -> Result<SchemeWalk, flatwalk_pt::WalkError> {
-        let oracle = resolve(ctx.store, ctx.table, va)?;
-
         // Conventional radix walk, PSC-accelerated, against either the
         // local replica (entries pinned to our node) or the
         // OS-interleaved table.
-        let cum = oracle.steps.cum_index_bits();
-        let mut latency = self.pwc.latency();
-        let mut accesses = 0u64;
-        let mut first_step = 0usize;
-        if let Some(hit) = self.pwc.lookup(va) {
-            if let Some(i) = cum.iter().position(|&c| c == hit.prefix_bits) {
-                if i + 1 < oracle.steps.len() {
-                    first_step = i + 1;
-                }
-            }
-        }
-        for step in &oracle.steps[first_step..] {
-            let entry_pa = if self.replicate {
-                pin_to_node(step.entry_pa, self.node)
-            } else {
-                step.entry_pa
-            };
-            if self.topology.home_node(entry_pa) == self.node {
-                self.local_steps += 1;
-            } else {
-                self.remote_steps += 1;
-            }
-            let out = hier.access(entry_pa, AccessKind::PageTable, owner);
-            latency += out.latency;
-            accesses += 1;
+        let MitosisScheme {
+            topology,
+            node,
+            replicate,
+            pwc,
+            replicated_lines,
+            local_steps,
+            remote_steps,
+            replica_writes,
+        } = self;
+        let mut hook = ReplicaSteps {
+            topology,
+            node: *node,
+            replicate: *replicate,
+            replicated_lines,
+            local_steps,
+            remote_steps,
+            replica_writes,
+        };
+        walk_radix(pwc, ctx.store, ctx.table, va, hier, owner, &mut hook).map(SchemeWalk::from)
+    }
+}
 
-            // First touch of a page-table line under replication pays
-            // the maintenance writes that keep the other (nodes − 1)
-            // replicas coherent: direct DRAM traffic, no cache fills.
-            // The OS performs these off the walk's critical path (at
-            // table-update time), so they count as DRAM/NUMA traffic
-            // and energy but not as walk latency or walk accesses.
-            if self.replicate && self.replicated_lines.insert(step.entry_pa.line()) {
-                for n in 0..self.topology.node_count() {
-                    if n == self.node {
-                        continue;
-                    }
-                    hier.dram_write(pin_to_node(step.entry_pa, n), AccessKind::PageTable);
-                    self.replica_writes += 1;
-                }
-            }
-        }
-        for i in first_step..oracle.steps.len().saturating_sub(1) {
-            let next = &oracle.steps[i + 1];
-            self.pwc.insert(
-                va,
-                cum[i],
-                next.node_base,
-                NodeShape::from_depth(next.depth).expect("valid step"),
-            );
-        }
+/// Mitosis's step hook: reads the local replica's copy of each entry
+/// (when replicating) and accounts for local/remote steps and replica
+/// maintenance.
+struct ReplicaSteps<'a> {
+    topology: &'a NumaTopology,
+    node: u32,
+    replicate: bool,
+    replicated_lines: &'a mut HashSet<u64>,
+    local_steps: &'a mut u64,
+    remote_steps: &'a mut u64,
+    replica_writes: &'a mut u64,
+}
 
-        Ok(SchemeWalk {
-            pa: oracle.pa,
-            size: oracle.size,
-            latency,
-            accesses,
+impl StepHook for ReplicaSteps<'_> {
+    fn entry_addr(
+        &mut self,
+        step: &WalkStep,
+        _hier: &mut MemoryHierarchy,
+    ) -> Result<PhysAddr, WalkError> {
+        Ok(if self.replicate {
+            pin_to_node(step.entry_pa, self.node)
+        } else {
+            step.entry_pa
         })
+    }
+
+    fn observe(
+        &mut self,
+        step: &WalkStep,
+        addr: PhysAddr,
+        _level: HitLevel,
+        hier: &mut MemoryHierarchy,
+    ) {
+        if self.topology.home_node(addr) == self.node {
+            *self.local_steps += 1;
+        } else {
+            *self.remote_steps += 1;
+        }
+        // First touch of a page-table line under replication pays the
+        // maintenance writes that keep the other (nodes − 1) replicas
+        // coherent: direct DRAM traffic, no cache fills. The OS
+        // performs these off the walk's critical path (at table-update
+        // time), so they count as DRAM/NUMA traffic and energy but not
+        // as walk latency or walk accesses.
+        if self.replicate && self.replicated_lines.insert(step.entry_pa.line()) {
+            for n in 0..self.topology.node_count() {
+                if n == self.node {
+                    continue;
+                }
+                hier.dram_write(pin_to_node(step.entry_pa, n), AccessKind::PageTable);
+                *self.replica_writes += 1;
+            }
+        }
     }
 }
 
@@ -163,7 +180,7 @@ mod tests {
     use super::*;
     use flatwalk_mem::HierarchyConfig;
     use flatwalk_pt::{BumpAllocator, FlattenEverywhere, FrameStore, Layout, Mapper};
-    use flatwalk_types::{PageSize, PhysAddr};
+    use flatwalk_types::PageSize;
 
     fn oracle() -> (FrameStore, Mapper) {
         let mut store = FrameStore::new();

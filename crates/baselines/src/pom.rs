@@ -10,7 +10,8 @@
 //! survive in the caches.
 
 use flatwalk_mem::MemoryHierarchy;
-use flatwalk_pt::{resolve, NodeShape};
+use flatwalk_mmu::walk_radix;
+use flatwalk_pt::translate;
 use flatwalk_tlb::{Pwc, PwcConfig};
 use flatwalk_types::{AccessKind, OwnerId, PhysAddr, VirtAddr};
 
@@ -121,53 +122,40 @@ impl Scheme for PomTlbScheme {
         hier: &mut MemoryHierarchy,
         owner: OwnerId,
     ) -> Result<SchemeWalk, flatwalk_pt::WalkError> {
-        let oracle = resolve(ctx.store, ctx.table, va)?;
         let vpn = va.raw() >> 12;
 
         // One access into the in-DRAM TLB (cacheable).
         let line = self.line_of(vpn);
         let out = hier.access(line, AccessKind::PageTable, owner);
-        let mut latency = out.latency;
-        let mut accesses = 1u64;
 
         if self.probe_dir(vpn) {
             self.dram_tlb_hits += 1;
-        } else {
-            self.dram_tlb_misses += 1;
-            // Conventional radix walk, PWC-accelerated.
-            let cum = oracle.steps.cum_index_bits();
-            latency += self.pwc.latency();
-            let mut first_step = 0usize;
-            if let Some(hit) = self.pwc.lookup(va) {
-                if let Some(i) = cum.iter().position(|&c| c == hit.prefix_bits) {
-                    if i + 1 < oracle.steps.len() {
-                        first_step = i + 1;
-                    }
-                }
-            }
-            for step in &oracle.steps[first_step..] {
-                let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-                latency += out.latency;
-                accesses += 1;
-            }
-            for i in first_step..oracle.steps.len().saturating_sub(1) {
-                let next = &oracle.steps[i + 1];
-                self.pwc.insert(
-                    va,
-                    cum[i],
-                    next.node_base,
-                    NodeShape::from_depth(next.depth).expect("valid step"),
-                );
-            }
-            // Install into the DRAM TLB (write to the same line — it is
-            // already cached from the probe; no extra traffic charged).
+            let (pa, size) = translate(ctx.store, ctx.table, va)?;
+            return Ok(SchemeWalk {
+                pa,
+                size,
+                latency: out.latency,
+                accesses: 1,
+            });
         }
-
+        self.dram_tlb_misses += 1;
+        // Conventional radix walk, PWC-accelerated. The translation is
+        // then installed into the DRAM TLB (a write to the same line —
+        // it is already cached from the probe; no extra traffic
+        // charged).
+        let w = walk_radix(
+            &mut self.pwc,
+            ctx.store,
+            ctx.table,
+            va,
+            hier,
+            owner,
+            &mut (),
+        )?;
         Ok(SchemeWalk {
-            pa: oracle.pa,
-            size: oracle.size,
-            latency,
-            accesses,
+            latency: out.latency + w.latency,
+            accesses: 1 + w.accesses,
+            ..w.into()
         })
     }
 }

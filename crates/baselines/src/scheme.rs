@@ -3,16 +3,21 @@
 //! structure, but shares the TLBs, cache hierarchy, workloads, and
 //! timing proxy with the main simulator.
 //!
-//! Translation *results* come from a functional oracle walk of the real
-//! radix table (the address space is identical across schemes); each
-//! scheme charges the *timing and memory traffic* its own structure
-//! would generate. This keeps correctness orthogonal to cost modelling.
+//! Every scheme translates against the same real radix table (the
+//! address space is identical across schemes) and charges the *timing
+//! and memory traffic* its own structure would generate. Schemes that
+//! walk the table (ASAP, POM_TLB/CSALT on a DRAM-TLB miss, Victima on a
+//! probe miss, Mitosis) take the result from that one timed
+//! [`flatwalk_mmu::walk_radix`] walk; schemes or paths that never read
+//! the table's entries (ECH, a POM_TLB or Victima hit) take it from the
+//! untimed [`flatwalk_pt::translate`]. This keeps correctness
+//! orthogonal to cost modelling.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use flatwalk_mem::{EnergyModel, MemoryHierarchy};
-use flatwalk_mmu::WalkerStats;
+use flatwalk_mmu::{RadixWalk, WalkerStats};
 use flatwalk_os::{AddressSpaceSpec, FrozenSpace};
 use flatwalk_pt::{FrameStore, PageTable};
 use flatwalk_sim::{engine, setup, SimOptions, SimReport};
@@ -42,9 +47,21 @@ pub struct SchemeWalk {
     pub accesses: u64,
 }
 
+impl From<RadixWalk> for SchemeWalk {
+    fn from(w: RadixWalk) -> Self {
+        SchemeWalk {
+            pa: w.pa,
+            size: w.size,
+            latency: w.latency,
+            accesses: w.accesses,
+        }
+    }
+}
+
 /// A comparison translation scheme.
 pub trait Scheme {
-    /// Label used in reports ("ECH", "ASAP", "CSALT", "POM_TLB").
+    /// Label used in reports ("ECH", "ASAP", "POM_TLB", "CSALT",
+    /// "Victima", "Mitosis", "NUMA-Base").
     fn label(&self) -> &'static str;
 
     /// Performs the translation after an L1/L2 TLB miss. Returns a

@@ -21,9 +21,10 @@
 //! own replacement hints).
 
 use flatwalk_mem::MemoryHierarchy;
-use flatwalk_pt::{resolve, NodeShape};
+use flatwalk_mmu::walk_radix;
+use flatwalk_pt::translate;
 use flatwalk_tlb::{Pwc, PwcConfig};
-use flatwalk_types::{AccessKind, OwnerId, PhysAddr, VirtAddr};
+use flatwalk_types::{OwnerId, PhysAddr, VirtAddr};
 
 use crate::{Scheme, SchemeWalk, WalkCtx};
 
@@ -149,7 +150,6 @@ impl Scheme for VictimaScheme {
         hier: &mut MemoryHierarchy,
         owner: OwnerId,
     ) -> Result<SchemeWalk, flatwalk_pt::WalkError> {
-        let oracle = resolve(ctx.store, ctx.table, va)?;
         let vpn = va.raw() >> 12;
         let line = self.line_of(vpn);
 
@@ -159,9 +159,10 @@ impl Scheme for VictimaScheme {
         if self.dir_probe(vpn) {
             if let Some(latency) = hier.probe_l2_resident(line, owner) {
                 self.l2_entry_hits += 1;
+                let (pa, size) = translate(ctx.store, ctx.table, va)?;
                 return Ok(SchemeWalk {
-                    pa: oracle.pa,
-                    size: oracle.size,
+                    pa,
+                    size,
                     latency,
                     accesses: 1,
                 });
@@ -171,31 +172,16 @@ impl Scheme for VictimaScheme {
 
         // Conventional radix walk, PSC-accelerated (the probe itself
         // cost one L2 lookup).
-        let cum = oracle.steps.cum_index_bits();
-        let mut latency = hier.config().l2.latency + self.pwc.latency();
-        let mut accesses = 1u64;
-        let mut first_step = 0usize;
-        if let Some(hit) = self.pwc.lookup(va) {
-            if let Some(i) = cum.iter().position(|&c| c == hit.prefix_bits) {
-                if i + 1 < oracle.steps.len() {
-                    first_step = i + 1;
-                }
-            }
-        }
-        for step in &oracle.steps[first_step..] {
-            let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-            latency += out.latency;
-            accesses += 1;
-        }
-        for i in first_step..oracle.steps.len().saturating_sub(1) {
-            let next = &oracle.steps[i + 1];
-            self.pwc.insert(
-                va,
-                cum[i],
-                next.node_base,
-                NodeShape::from_depth(next.depth).expect("valid step"),
-            );
-        }
+        let w = walk_radix(
+            &mut self.pwc,
+            ctx.store,
+            ctx.table,
+            va,
+            hier,
+            owner,
+            &mut (),
+        )?;
+        let latency = hier.config().l2.latency + w.latency;
 
         // PTW-cost predictor: only walks worth avoiding earn a line.
         if latency >= self.cost_threshold {
@@ -205,10 +191,9 @@ impl Scheme for VictimaScheme {
         }
 
         Ok(SchemeWalk {
-            pa: oracle.pa,
-            size: oracle.size,
             latency,
-            accesses,
+            accesses: 1 + w.accesses,
+            ..w.into()
         })
     }
 }
@@ -218,7 +203,7 @@ mod tests {
     use super::*;
     use flatwalk_mem::HierarchyConfig;
     use flatwalk_pt::{BumpAllocator, FlattenEverywhere, FrameStore, Layout, Mapper};
-    use flatwalk_types::PageSize;
+    use flatwalk_types::{AccessKind, PageSize};
 
     fn oracle() -> (FrameStore, Mapper) {
         let mut store = FrameStore::new();

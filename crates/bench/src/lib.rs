@@ -22,14 +22,20 @@ pub mod grids;
 
 pub use flatwalk_sim::runner::Cell as GridCell;
 
-/// Installs the env-configured trace sink (`FLATWALK_TRACE`) and the
-/// fault plan (`--faults <seed>[:profile]` / `FLATWALK_FAULTS`) exactly
+/// Installs the env-configured trace sink (`FLATWALK_TRACE`), turns on
+/// span collection for `FLATWALK_SPANS_FOLDED`, and installs the fault
+/// plan (`--faults <seed>[:profile]` / `FLATWALK_FAULTS`) exactly
 /// once per process. Every harness entry point routes through this, so
 /// binaries need no explicit setup.
 fn init_observability() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
         flatwalk_obs::trace::init_from_env();
+        // The folded span dump needs spans collected whether or not
+        // `FLATWALK_TRACE` names the `spans` channel.
+        if std::env::var("FLATWALK_SPANS_FOLDED").is_ok_and(|p| !p.is_empty()) {
+            flatwalk_obs::trace::fold_spans();
+        }
         install_fault_plan();
     });
 }

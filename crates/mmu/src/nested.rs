@@ -7,14 +7,14 @@
 //! translations, the guest PSC skips guest levels, and the vPWC skips
 //! host levels (Fig. 8).
 
-use flatwalk_mem::MemoryHierarchy;
-use flatwalk_obs::trace::{self, WalkRecord, WalkStepRecord};
-use flatwalk_pt::{resolve, resolve_from_with, FrameStore, NodeShape, PageTable, WalkError};
+use flatwalk_mem::{HitLevel, MemoryHierarchy};
+use flatwalk_obs::trace;
+use flatwalk_pt::{FrameStore, PageTable, WalkError, WalkStep};
 use flatwalk_tlb::{NestedTlb, Pwc, PwcConfig};
-use flatwalk_types::{AccessKind, Level, OwnerId, PageSize, PhysAddr, VirtAddr};
+use flatwalk_types::{OwnerId, PageSize, PhysAddr, VirtAddr};
 
-use crate::walker::level_label;
-use crate::{WalkTiming, WalkerStats};
+use crate::kernel::{emit_walk, walk_radix, Recorder};
+use crate::{StepHook, WalkTiming, WalkerStats};
 
 /// The two page tables of a virtualized address space.
 ///
@@ -117,14 +117,10 @@ impl NestedWalker {
     /// through here, so batching applies to virtualized configurations
     /// exactly as it does to native ones.
     ///
-    /// The non-tracing fast path is *fused*: each guest step the
-    /// monomorphized functional walker decodes is host-translated,
-    /// issued to the hierarchy, and used to train the guest PSC
-    /// inline — and both the guest PSC and the vPWC short-circuit the
-    /// functional walk itself (the suffix below a hit node is walked
-    /// directly). Tables are immutable during a run, so a trained
-    /// prefix can never disagree with the table; timing, statistics,
-    /// and training match the resolve-then-replay path exactly.
+    /// The guest walk is one [`walk_radix`] call whose step hook
+    /// host-translates each guest entry address before its read (nested
+    /// TLB, then a vPWC-accelerated host [`walk_radix`] on a miss); the
+    /// guest PSC and the vPWC short-circuit their functional walks.
     pub(crate) fn walk_one(
         &mut self,
         tables: &NestedTables<'_>,
@@ -134,325 +130,148 @@ impl NestedWalker {
         tracing: bool,
     ) -> Result<WalkTiming, WalkError> {
         if tracing {
-            return self.walk_traced(tables, gva, hier, owner);
+            self.walk_recorded::<true>(tables, gva, hier, owner)
+        } else {
+            self.walk_recorded::<false>(tables, gva, hier, owner)
         }
-        let NestedWalker {
-            guest_pwc,
-            host_pwc,
-            nested_tlb,
-            stats,
-        } = self;
-
-        let gt = tables.guest_table;
-        let mut latency = guest_pwc.latency();
-        let (node_base, node_shape, pos_top, base_bits) = match guest_pwc.lookup(gva) {
-            Some(hit) => {
-                // Same short-circuit as the native walker: the hit
-                // prefix lands on a step boundary of this walk, so the
-                // decode position below it is top minus the consumed
-                // groups; a rank underflow means a PSC/table mismatch
-                // and falls back to the full walk.
-                let rank = gt
-                    .top_level
-                    .rank()
-                    .wrapping_sub((hit.prefix_bits / 9) as u8);
-                match Level::from_rank(rank) {
-                    Some(pos) => (hit.node_base, hit.node_shape, pos, hit.prefix_bits),
-                    None => (gt.root, gt.root_shape, gt.top_level, 0),
-                }
-            }
-            None => (gt.root, gt.root_shape, gt.top_level, 0),
-        };
-
-        let mut accesses = 0u64;
-        let mut cum = 0u32;
-        let mut guest_steps = 0u64;
-        let (gpa, guest_size) = resolve_from_with(
-            tables.guest_store,
-            node_base,
-            node_shape,
-            pos_top,
-            gva,
-            &mut |step| {
-                if guest_steps > 0 {
-                    guest_pwc.insert(
-                        gva,
-                        base_bits + cum,
-                        step.node_base,
-                        NodeShape::from_depth(step.depth).expect("valid step depth"),
-                    );
-                }
-                guest_steps += 1;
-                cum += step.index_bits();
-                // The guest entry lives at a guest-physical address: it
-                // needs a host translation before the cache access.
-                let entry_gpa = PhysAddr::new(step.entry_pa.raw());
-                let (entry_hpa, lat, acc, _) = host_translate_fused(
-                    host_pwc, nested_tlb, stats, tables, entry_gpa, hier, owner,
-                )?;
-                latency += lat;
-                accesses += acc;
-                let out = hier.access(entry_hpa, AccessKind::PageTable, owner);
-                latency += out.latency;
-                accesses += 1;
-                stats.walks.step_hits.record(out.level);
-                Ok(())
-            },
-        )?;
-
-        #[cfg(debug_assertions)]
-        if base_bits > 0 {
-            let full = resolve(tables.guest_store, gt, gva).expect("prefix was present");
-            debug_assert_eq!(
-                (full.pa, full.size),
-                (gpa, guest_size),
-                "guest PSC short-circuit must agree with the full walk"
-            );
-        }
-
-        // Final host translation of the data's guest-physical address.
-        let data_gpa = PhysAddr::new(gpa.raw());
-        let (data_hpa, lat, acc, host_size) =
-            host_translate_fused(host_pwc, nested_tlb, stats, tables, data_gpa, hier, owner)?;
-        latency += lat;
-        accesses += acc;
-
-        // Effective granularity: both mappings must be linear across the
-        // page for the TLB entry to be valid.
-        let size = guest_size.min(host_size);
-
-        let timing = WalkTiming {
-            pa: data_hpa,
-            size,
-            accesses,
-            latency,
-        };
-        stats.walks.record(&timing);
-        Ok(timing)
     }
 
-    /// The resolve-then-replay walk, kept for tracing: reporting how
-    /// many steps the PSC skipped requires the full functional walk.
-    fn walk_traced(
+    fn walk_recorded<const TRACED: bool>(
         &mut self,
         tables: &NestedTables<'_>,
         gva: VirtAddr,
         hier: &mut MemoryHierarchy,
         owner: OwnerId,
     ) -> Result<WalkTiming, WalkError> {
-        let guest_walk = resolve(tables.guest_store, tables.guest_table, gva)?;
-        let cum = guest_walk.steps.cum_index_bits();
-
-        let mut latency = self.guest_pwc.latency();
-        let mut accesses = 0u64;
-        let mut first_step = 0usize;
-        if let Some(hit) = self.guest_pwc.lookup(gva) {
-            if let Some(i) = cum.iter().position(|&c| c == hit.prefix_bits) {
-                if i + 1 < guest_walk.steps.len() {
-                    first_step = i + 1;
-                }
-            }
-        }
-
-        let tracing = trace::walks_enabled();
-        let mut trace_steps: Vec<WalkStepRecord> = Vec::new();
-
-        // Guest levels: translate each entry's gPA, then read the entry.
-        for step in &guest_walk.steps[first_step..] {
-            let entry_gpa = PhysAddr::new(step.entry_pa.raw());
-            let (entry_hpa, lat, acc, _) =
-                self.host_translate(tables, entry_gpa, hier, owner, tracing, &mut trace_steps)?;
-            latency += lat;
-            accesses += acc;
-            let out = hier.access(entry_hpa, AccessKind::PageTable, owner);
-            latency += out.latency;
-            accesses += 1;
-            self.stats.walks.step_hits.record(out.level);
-            if tracing {
-                trace_steps.push(WalkStepRecord {
-                    depth: step.depth,
-                    level: level_label(out.level),
-                });
-            }
-        }
-
-        // Train the guest PSC.
-        for i in first_step..guest_walk.steps.len().saturating_sub(1) {
-            let next = &guest_walk.steps[i + 1];
-            self.guest_pwc.insert(
-                gva,
-                cum[i],
-                next.node_base,
-                NodeShape::from_depth(next.depth).expect("valid step depth"),
-            );
-        }
-
+        let NestedWalker {
+            guest_pwc,
+            host_pwc,
+            nested_tlb,
+            stats,
+        } = self;
+        let mut steps = Vec::new();
+        let mut host = HostTranslator {
+            host_pwc,
+            nested_tlb,
+            tables,
+            owner,
+            nested_translations: &mut stats.nested_translations,
+            host_walks: &mut stats.host_walks,
+            recorder: Recorder::<TRACED> {
+                hits: &mut stats.walks.step_hits,
+                steps: &mut steps,
+            },
+            latency: 0,
+            accesses: 0,
+        };
+        let guest = walk_radix(
+            guest_pwc,
+            tables.guest_store,
+            tables.guest_table,
+            gva,
+            hier,
+            owner,
+            &mut host,
+        )?;
         // Final host translation of the data's guest-physical address.
-        let data_gpa = PhysAddr::new(guest_walk.pa.raw());
-        let (data_hpa, lat, acc, host_size) =
-            self.host_translate(tables, data_gpa, hier, owner, tracing, &mut trace_steps)?;
-        latency += lat;
-        accesses += acc;
+        let (pa, host_size) = host.translate(PhysAddr::new(guest.pa.raw()), hier)?;
+        let latency = guest.latency + host.latency;
+        let accesses = guest.accesses + host.accesses;
 
         // Effective granularity: both mappings must be linear across the
         // page for the TLB entry to be valid.
-        let size = guest_walk.size.min(host_size);
+        let size = guest.size.min(host_size);
 
         let timing = WalkTiming {
-            pa: data_hpa,
+            pa,
             size,
             accesses,
             latency,
         };
-        self.stats.walks.record(&timing);
-        if tracing {
-            trace::emit_walk(&WalkRecord {
-                va: gva.raw(),
+        stats.walks.record(&timing);
+        if TRACED {
+            emit_walk(
+                tables.guest_store,
+                tables.guest_table,
+                gva,
+                guest.psc_bits,
                 accesses,
                 latency,
-                psc_skipped: first_step as u8,
-                flattened: trace_steps.iter().any(|s| s.depth > 1),
-                steps: &trace_steps,
-            });
+                &steps,
+            );
         }
         Ok(timing)
     }
+}
 
-    /// Translates a guest-physical address via nested TLB, falling back
-    /// to a host walk accelerated by the vPWC.
-    fn host_translate(
+/// The guest walk's step hook: each guest entry lives at a
+/// guest-physical address, so it is host-translated before its read.
+/// Host-side latency and entry reads accumulate here, outside the guest
+/// kernel's own totals.
+struct HostTranslator<'a, 't, const TRACED: bool> {
+    host_pwc: &'a mut Pwc,
+    nested_tlb: &'a mut NestedTlb,
+    tables: &'a NestedTables<'t>,
+    owner: OwnerId,
+    nested_translations: &'a mut u64,
+    host_walks: &'a mut u64,
+    recorder: Recorder<'a, TRACED>,
+    latency: u64,
+    accesses: u64,
+}
+
+impl<const TRACED: bool> HostTranslator<'_, '_, TRACED> {
+    /// Translates `gpa` via the nested TLB, falling back to a host walk
+    /// accelerated by the vPWC.
+    fn translate(
         &mut self,
-        tables: &NestedTables<'_>,
         gpa: PhysAddr,
         hier: &mut MemoryHierarchy,
-        owner: OwnerId,
-        tracing: bool,
-        trace_steps: &mut Vec<WalkStepRecord>,
-    ) -> Result<(PhysAddr, u64, u64, PageSize), WalkError> {
-        self.stats.nested_translations += 1;
-        let mut latency = self.nested_tlb.latency();
-        if let Some((hpa, size)) = self.nested_tlb.lookup(gpa) {
-            return Ok((hpa, latency, 0, size));
+    ) -> Result<(PhysAddr, PageSize), WalkError> {
+        *self.nested_translations += 1;
+        self.latency += self.nested_tlb.latency();
+        if let Some(hit) = self.nested_tlb.lookup(gpa) {
+            return Ok(hit);
         }
-        self.stats.host_walks += 1;
-
-        let host_va = gpa.as_nested_input();
-        let walk = resolve(tables.host_store, tables.host_table, host_va)?;
-        let cum = walk.steps.cum_index_bits();
-        latency += self.host_pwc.latency();
-        let mut first_step = 0usize;
-        if let Some(hit) = self.host_pwc.lookup(host_va) {
-            if let Some(i) = cum.iter().position(|&c| c == hit.prefix_bits) {
-                if i + 1 < walk.steps.len() {
-                    first_step = i + 1;
-                }
-            }
-        }
-        let mut accesses = 0u64;
-        for step in &walk.steps[first_step..] {
-            let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-            latency += out.latency;
-            accesses += 1;
-            self.stats.walks.step_hits.record(out.level);
-            if tracing {
-                trace_steps.push(WalkStepRecord {
-                    depth: step.depth,
-                    level: level_label(out.level),
-                });
-            }
-        }
-        for i in first_step..walk.steps.len().saturating_sub(1) {
-            let next = &walk.steps[i + 1];
-            self.host_pwc.insert(
-                host_va,
-                cum[i],
-                next.node_base,
-                NodeShape::from_depth(next.depth).expect("valid step depth"),
-            );
-        }
-        self.nested_tlb.insert(gpa, walk.frame_base(), walk.size);
-        Ok((walk.pa, latency, accesses, walk.size))
+        *self.host_walks += 1;
+        let host = walk_radix(
+            self.host_pwc,
+            self.tables.host_store,
+            self.tables.host_table,
+            gpa.as_nested_input(),
+            hier,
+            self.owner,
+            &mut self.recorder,
+        )?;
+        self.latency += host.latency;
+        self.accesses += host.accesses;
+        self.nested_tlb
+            .insert(gpa, host.pa.align_down(host.size), host.size);
+        Ok((host.pa, host.size))
     }
 }
 
-/// Fused counterpart of [`NestedWalker::host_translate`]: the host walk
-/// issues entry reads and trains the vPWC inline, and a vPWC hit
-/// short-circuits the functional host walk too.
-///
-/// A free function over the walker's split-out fields so the guest-walk
-/// visitor (which holds the guest PSC mutably) can call it per step.
-#[allow(clippy::too_many_arguments)]
-fn host_translate_fused(
-    host_pwc: &mut Pwc,
-    nested_tlb: &mut NestedTlb,
-    stats: &mut NestedWalkerStats,
-    tables: &NestedTables<'_>,
-    gpa: PhysAddr,
-    hier: &mut MemoryHierarchy,
-    owner: OwnerId,
-) -> Result<(PhysAddr, u64, u64, PageSize), WalkError> {
-    stats.nested_translations += 1;
-    let mut latency = nested_tlb.latency();
-    if let Some((hpa, size)) = nested_tlb.lookup(gpa) {
-        return Ok((hpa, latency, 0, size));
-    }
-    stats.host_walks += 1;
-
-    let ht = tables.host_table;
-    let host_va = gpa.as_nested_input();
-    latency += host_pwc.latency();
-    let (node_base, node_shape, pos_top, base_bits) = match host_pwc.lookup(host_va) {
-        Some(hit) => {
-            let rank = ht
-                .top_level
-                .rank()
-                .wrapping_sub((hit.prefix_bits / 9) as u8);
-            match Level::from_rank(rank) {
-                Some(pos) => (hit.node_base, hit.node_shape, pos, hit.prefix_bits),
-                None => (ht.root, ht.root_shape, ht.top_level, 0),
-            }
-        }
-        None => (ht.root, ht.root_shape, ht.top_level, 0),
-    };
-
-    let mut accesses = 0u64;
-    let mut cum = 0u32;
-    let (pa, size) = resolve_from_with(
-        tables.host_store,
-        node_base,
-        node_shape,
-        pos_top,
-        host_va,
-        &mut |step| {
-            if accesses > 0 {
-                host_pwc.insert(
-                    host_va,
-                    base_bits + cum,
-                    step.node_base,
-                    NodeShape::from_depth(step.depth).expect("valid step depth"),
-                );
-            }
-            cum += step.index_bits();
-            let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-            latency += out.latency;
-            accesses += 1;
-            stats.walks.step_hits.record(out.level);
-            Ok(())
-        },
-    )?;
-
-    #[cfg(debug_assertions)]
-    if base_bits > 0 {
-        let full = resolve(tables.host_store, ht, host_va).expect("prefix was present");
-        debug_assert_eq!(
-            (full.pa, full.size),
-            (pa, size),
-            "vPWC short-circuit must agree with the full host walk"
-        );
+impl<const TRACED: bool> StepHook for HostTranslator<'_, '_, TRACED> {
+    #[inline]
+    fn entry_addr(
+        &mut self,
+        step: &WalkStep,
+        hier: &mut MemoryHierarchy,
+    ) -> Result<PhysAddr, WalkError> {
+        self.translate(PhysAddr::new(step.entry_pa.raw()), hier)
+            .map(|(hpa, _)| hpa)
     }
 
-    nested_tlb.insert(gpa, pa.align_down(size), size);
-    Ok((pa, latency, accesses, size))
+    #[inline]
+    fn observe(
+        &mut self,
+        step: &WalkStep,
+        addr: PhysAddr,
+        level: HitLevel,
+        hier: &mut MemoryHierarchy,
+    ) {
+        self.recorder.observe(step, addr, level, hier);
+    }
 }
 
 #[cfg(test)]

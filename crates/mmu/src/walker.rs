@@ -1,16 +1,17 @@
 //! The timed native page-table walker.
 //!
-//! The walker replays the functional walk (from `flatwalk-pt`) through
-//! the paging-structure caches and the cache hierarchy: a PSC hit lets
-//! it skip the upper levels (paper §3.3), and every remaining entry read
-//! is a 64 B access issued to the memory hierarchy with
-//! [`AccessKind::PageTable`].
+//! Each walk is one [`walk_radix`] call against the native table: a PSC
+//! hit lets it skip the upper levels (paper §3.3), and every remaining
+//! entry read is a 64 B access issued to the memory hierarchy with
+//! [`flatwalk_types::AccessKind::PageTable`].
 
 use flatwalk_mem::{HitLevel, MemoryHierarchy};
-use flatwalk_obs::trace::{self, WalkRecord, WalkStepRecord};
-use flatwalk_pt::{resolve, resolve_from_with, FrameStore, PageTable, Walk, WalkError};
+use flatwalk_obs::trace;
+use flatwalk_pt::{FrameStore, PageTable, WalkError};
 use flatwalk_tlb::{Pwc, PwcConfig};
-use flatwalk_types::{AccessKind, OwnerId, PageSize, PhysAddr, VirtAddr};
+use flatwalk_types::{OwnerId, PageSize, PhysAddr, VirtAddr};
+
+use crate::kernel::{emit_walk, walk_radix, Recorder};
 
 /// Where page-walk entry reads were served, by hierarchy level.
 ///
@@ -43,16 +44,6 @@ impl StepHits {
     /// Total entry reads recorded.
     pub fn total(&self) -> u64 {
         self.l1 + self.l2 + self.l3 + self.dram
-    }
-}
-
-/// Trace label for a hierarchy hit level.
-pub(crate) fn level_label(level: HitLevel) -> &'static str {
-    match level {
-        HitLevel::L1 => "L1",
-        HitLevel::L2 => "L2",
-        HitLevel::L3 => "L3",
-        HitLevel::Dram => "DRAM",
     }
 }
 
@@ -173,16 +164,9 @@ impl PageWalker {
 
     /// Walks `table` for `va`, issuing entry reads through `hier`.
     ///
-    /// When walk tracing is off, the walk is *fused*: each step the
-    /// monomorphized functional walker decodes is immediately issued to
-    /// the hierarchy and used to train the PSC, with no intermediate
-    /// step list. A PSC hit short-circuits the functional walk too —
-    /// the suffix below the hit node is walked directly, skipping the
-    /// upper-level entry lookups that replay would have discarded
-    /// anyway. Tables are immutable during a run (cells run against a
-    /// frozen address space), so a trained PSC entry can never disagree
-    /// with the table. Timing, hit/miss statistics, and PSC training
-    /// are identical to the resolve-then-replay path.
+    /// One [`walk_radix`] call: a PSC hit skips the upper levels, and
+    /// every remaining entry read goes through the hierarchy and trains
+    /// the PSC as it is decoded.
     ///
     /// # Errors
     ///
@@ -201,7 +185,6 @@ impl PageWalker {
 
     /// One walk with the trace decision already made — the span kernels
     /// in `mmu.rs` hoist the gate out of their per-miss loop.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn walk_one(
         &mut self,
         store: &FrameStore,
@@ -212,154 +195,37 @@ impl PageWalker {
         tracing: bool,
     ) -> Result<WalkTiming, WalkError> {
         if tracing {
-            // Tracing reports how many steps the PSC skipped, which only
-            // the full functional walk knows.
-            let walk = resolve(store, table, va)?;
-            let timing = self.replay(&walk, va, hier, owner);
-            self.stats.record(&timing);
-            return Ok(timing);
+            self.walk_recorded::<true>(store, table, va, hier, owner)
+        } else {
+            self.walk_recorded::<false>(store, table, va, hier, owner)
         }
-
-        let pwc = &mut self.pwc;
-        let stats = &mut self.stats;
-        let mut latency = pwc.latency();
-        let (node_base, node_shape, pos_top, base_bits) = match pwc.lookup(va) {
-            Some(hit) => {
-                // The hit prefix always lands on a step boundary of this
-                // walk (identical VA prefix ⇒ identical upper steps), so
-                // the decode position below it is top minus the consumed
-                // groups. A rank underflow would mean a PSC/table
-                // mismatch; fall back to the full walk as `replay` does.
-                let rank = table
-                    .top_level
-                    .rank()
-                    .wrapping_sub((hit.prefix_bits / 9) as u8);
-                match flatwalk_types::Level::from_rank(rank) {
-                    Some(pos_top) => (hit.node_base, hit.node_shape, pos_top, hit.prefix_bits),
-                    None => (table.root, table.root_shape, table.top_level, 0),
-                }
-            }
-            None => (table.root, table.root_shape, table.top_level, 0),
-        };
-
-        let mut accesses = 0u64;
-        let mut cum = 0u32;
-        let (pa, size) =
-            resolve_from_with(store, node_base, node_shape, pos_top, va, &mut |step| {
-                // Each non-root step trains the PSC: the prefix consumed
-                // so far maps to the node this step consults.
-                if accesses > 0 {
-                    pwc.insert(
-                        va,
-                        base_bits + cum,
-                        step.node_base,
-                        flatwalk_pt::NodeShape::from_depth(step.depth).expect("valid step depth"),
-                    );
-                }
-                cum += step.index_bits();
-                let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-                latency += out.latency;
-                accesses += 1;
-                stats.step_hits.record(out.level);
-                Ok(())
-            })?;
-
-        #[cfg(debug_assertions)]
-        if base_bits > 0 {
-            let full = resolve(store, table, va).expect("prefix was present");
-            debug_assert_eq!(
-                (full.pa, full.size),
-                (pa, size),
-                "PSC short-circuit must agree with the full walk"
-            );
-        }
-
-        let timing = WalkTiming {
-            pa,
-            size,
-            accesses,
-            latency,
-        };
-        stats.record(&timing);
-        Ok(timing)
     }
 
-    /// Replays a functional walk through the PSC and hierarchy.
-    pub(crate) fn replay(
+    fn walk_recorded<const TRACED: bool>(
         &mut self,
-        walk: &Walk,
+        store: &FrameStore,
+        table: &PageTable,
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
         owner: OwnerId,
-    ) -> WalkTiming {
-        // Cumulative index bits consumed after each step (inline, no
-        // per-walk allocation).
-        let cum = walk.steps.cum_index_bits();
-
-        let mut latency = self.pwc.latency();
-        let mut first_step = 0usize;
-        if let Some(hit) = self.pwc.lookup(va) {
-            // Skip every step fully covered by the matched prefix. The
-            // prefix corresponds to a step boundary in any consistent
-            // table; if it does not (stale organization), ignore the hit.
-            if let Some(i) = cum.iter().position(|&c| c == hit.prefix_bits) {
-                if i + 1 < walk.steps.len() {
-                    debug_assert_eq!(
-                        walk.steps[i + 1].node_base,
-                        hit.node_base,
-                        "PSC must agree with the table"
-                    );
-                    first_step = i + 1;
-                }
-            }
+    ) -> Result<WalkTiming, WalkError> {
+        let mut steps = Vec::new();
+        let mut recorder = Recorder::<TRACED> {
+            hits: &mut self.stats.step_hits,
+            steps: &mut steps,
+        };
+        let w = walk_radix(&mut self.pwc, store, table, va, hier, owner, &mut recorder)?;
+        let timing = WalkTiming {
+            pa: w.pa,
+            size: w.size,
+            accesses: w.accesses,
+            latency: w.latency,
+        };
+        self.stats.record(&timing);
+        if TRACED {
+            emit_walk(store, table, va, w.psc_bits, w.accesses, w.latency, &steps);
         }
-
-        let tracing = trace::walks_enabled();
-        let mut trace_steps: Vec<WalkStepRecord> = Vec::new();
-
-        let mut accesses = 0u64;
-        for step in &walk.steps[first_step..] {
-            let out = hier.access(step.entry_pa, AccessKind::PageTable, owner);
-            latency += out.latency;
-            accesses += 1;
-            self.stats.step_hits.record(out.level);
-            if tracing {
-                trace_steps.push(WalkStepRecord {
-                    depth: step.depth,
-                    level: level_label(out.level),
-                });
-            }
-        }
-
-        // Train the PSC: each executed non-terminal step boundary maps
-        // the consumed prefix to the next node.
-        for i in first_step..walk.steps.len().saturating_sub(1) {
-            let next = &walk.steps[i + 1];
-            self.pwc.insert(
-                va,
-                cum[i],
-                next.node_base,
-                flatwalk_pt::NodeShape::from_depth(next.depth).expect("valid step depth"),
-            );
-        }
-
-        if tracing {
-            trace::emit_walk(&WalkRecord {
-                va: va.raw(),
-                accesses,
-                latency,
-                psc_skipped: first_step as u8,
-                flattened: trace_steps.iter().any(|s| s.depth > 1),
-                steps: &trace_steps,
-            });
-        }
-
-        WalkTiming {
-            pa: walk.pa,
-            size: walk.size,
-            accesses,
-            latency,
-        }
+        Ok(timing)
     }
 }
 

@@ -52,10 +52,11 @@ thread_local! {
 }
 
 /// Whether spans are being collected (one relaxed load) — the guard
-/// [`enter`] takes before touching any state.
+/// [`enter`] takes before touching any state. True with the `spans`
+/// trace channel on or after [`trace::fold_spans`].
 #[inline]
 pub fn enabled() -> bool {
-    trace::spans_enabled()
+    trace::spans_collected()
 }
 
 /// An open span; the span closes when this guard drops. Obtain one via
@@ -124,7 +125,7 @@ fn close() {
     // The channel may have been switched off while the span was open;
     // the stack bookkeeping above must still run (the guard was armed),
     // but a record only goes out if someone is listening now.
-    if enabled() {
+    if trace::spans_enabled() {
         trace::emit_span(&trace::SpanRecord {
             name,
             path: &path,
@@ -143,12 +144,14 @@ pub fn record(name: &'static str, nanos: u64) {
         return;
     }
     aggregate(name, nanos);
-    trace::emit_span(&trace::SpanRecord {
-        name,
-        path: name,
-        depth: 1,
-        nanos,
-    });
+    if trace::spans_enabled() {
+        trace::emit_span(&trace::SpanRecord {
+            name,
+            path: name,
+            depth: 1,
+            nanos,
+        });
+    }
 }
 
 /// Number of open spans on the current thread (0 once every guard has
@@ -168,7 +171,7 @@ pub struct SpanAgg {
 
 /// Process-global folded aggregation: stack path → totals. Spans close
 /// at micro-to-millisecond cadence, far off the modeled hot loops, and
-/// only ever when the channel is enabled.
+/// only ever when spans are collected.
 fn folded() -> &'static Mutex<BTreeMap<String, SpanAgg>> {
     // lock-ok: span-close aggregation, only reached with spans enabled
     static FOLDED: OnceLock<Mutex<BTreeMap<String, SpanAgg>>> = OnceLock::new();

@@ -227,6 +227,11 @@ pub trait Tracer: Send + Sync {
 /// state hot paths ever touch.
 static CHANNELS: AtomicU8 = AtomicU8::new(0);
 
+/// Bit of [`CHANNELS`] set by [`fold_spans`]: profiling spans are
+/// aggregated for the folded dump even with no `spans` channel
+/// installed. Not a trace channel, so no sink ever sees it.
+const FOLD_SPANS: u8 = 1 << 7;
+
 /// Serializes unit tests (here and in [`crate::span`]) that touch the
 /// process-global tracer, so the harness's parallel test threads cannot
 /// observe each other's installs.
@@ -309,10 +314,25 @@ pub fn numa_enabled() -> bool {
     CHANNELS.load(Ordering::Relaxed) & 64 != 0
 }
 
+/// Whether profiling spans are being collected at all: for the `spans`
+/// channel or for the folded dump ([`fold_spans`]). One relaxed load.
+#[inline]
+pub fn spans_collected() -> bool {
+    CHANNELS.load(Ordering::Relaxed) & (32 | FOLD_SPANS) != 0
+}
+
 /// Whether any channel is being traced.
 #[inline]
 pub fn any_enabled() -> bool {
-    CHANNELS.load(Ordering::Relaxed) != 0
+    CHANNELS.load(Ordering::Relaxed) & !FOLD_SPANS != 0
+}
+
+/// Makes profiling spans aggregate into the process-wide folded table
+/// ([`crate::span::render_folded`]) for the rest of the process,
+/// whether or not a `spans` trace channel is installed. Emits no
+/// records; [`install`] and [`uninstall`] leave it on.
+pub fn fold_spans() {
+    CHANNELS.fetch_or(FOLD_SPANS, Ordering::Release);
 }
 
 /// Sets this thread's cell-context string, attached to every record the
@@ -332,7 +352,8 @@ pub fn set_context(cell: &str) {
 pub fn install(tracer: Arc<dyn Tracer>, channels: Channels) {
     let mut guard = sink().write().unwrap_or_else(|e| e.into_inner());
     *guard = Some(tracer);
-    CHANNELS.store(channels.bits(), Ordering::Release);
+    let fold = CHANNELS.load(Ordering::Relaxed) & FOLD_SPANS;
+    CHANNELS.store(channels.bits() | fold, Ordering::Release);
 }
 
 /// Records silently lost since process start: emits that raced an
@@ -351,7 +372,7 @@ pub fn records_dropped() -> u64 {
 /// is flushed first, and any records dropped on its watch are pushed
 /// into the metrics registry as `trace.records_dropped`.
 pub fn uninstall() {
-    CHANNELS.store(0, Ordering::Release);
+    CHANNELS.fetch_and(FOLD_SPANS, Ordering::Release);
     let tracer = {
         let mut guard = sink().write().unwrap_or_else(|e| e.into_inner());
         guard.take()

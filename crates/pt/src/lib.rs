@@ -21,8 +21,9 @@
 //!   replicated-entry pathology and no-flatten regions
 //!   ([`NfRegions`]), and allocation-failure fallback.
 //! * [`resolve`] — the functional reference walker ([`Walk`] lists
-//!   every entry access; the timed walker in `flatwalk-mmu` replays
-//!   it through PWCs and caches).
+//!   every entry access), for tests and oracles; the timed walk kernel
+//!   in `flatwalk-mmu` drives the fused [`resolve_from_with`] instead,
+//!   starting at a PSC hit node.
 //! * [`RecursiveScheme`] — self-referencing table access including the
 //!   glue sub-table for flattened roots (§3.5, Fig. 5–7).
 
@@ -47,7 +48,4 @@ pub use mapper::{
 };
 pub use recursive::{RecursionError, RecursiveScheme};
 pub use store::FrameStore;
-pub use walk::{
-    resolve, resolve_from, resolve_from_with, resolve_with, CumBits, StepVec, Walk, WalkError,
-    WalkStep,
-};
+pub use walk::{resolve, resolve_from_with, translate, StepVec, Walk, WalkError, WalkStep};

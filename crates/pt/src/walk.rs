@@ -1,9 +1,10 @@
 //! The functional (untimed) reference page-table walker.
 //!
 //! This walker follows entries exactly the way the modelled hardware
-//! does — including recursive self-references (§3.5) — and returns the
-//! full list of entry accesses. The timed walker in `flatwalk-mmu`
-//! replays these steps through the PWCs and the cache hierarchy.
+//! does — including recursive self-references (§3.5). [`resolve`]
+//! returns the full list of entry accesses (for tests and oracles);
+//! the timed walk kernel in `flatwalk-mmu` visits the same steps
+//! through [`resolve_from_with`] as they are decoded.
 
 use flatwalk_types::{Level, PageSize, PhysAddr, VirtAddr};
 
@@ -35,8 +36,8 @@ impl WalkStep {
 
 /// Inline, allocation-free list of the steps of one walk.
 ///
-/// `resolve` runs on every simulated page walk, so its step list lives
-/// on the stack (bounded by [`MAX_STEPS`]) instead of in a fresh `Vec`.
+/// The step list lives on the stack (bounded by `MAX_STEPS`) instead
+/// of in a fresh `Vec`.
 /// Dereferences to `[WalkStep]`, so all slice operations (`iter`,
 /// `len`, indexing, slicing) work unchanged.
 #[derive(Clone, Copy)]
@@ -69,38 +70,6 @@ impl StepVec {
     pub fn push(&mut self, step: WalkStep) {
         self.steps[self.len as usize] = step;
         self.len += 1;
-    }
-
-    /// Cumulative VA bits consumed after each step (the prefix lengths
-    /// that paging-structure caches are indexed by), computed inline —
-    /// walk replay runs on every TLB miss and must not allocate.
-    pub fn cum_index_bits(&self) -> CumBits {
-        let mut bits = [0u32; MAX_STEPS];
-        let mut acc = 0u32;
-        for (i, step) in self.iter().enumerate() {
-            acc += step.index_bits();
-            bits[i] = acc;
-        }
-        CumBits {
-            bits,
-            len: self.len,
-        }
-    }
-}
-
-/// Inline result of [`StepVec::cum_index_bits`]; dereferences to
-/// `[u32]`, one entry per step.
-#[derive(Debug, Clone, Copy)]
-pub struct CumBits {
-    bits: [u32; MAX_STEPS],
-    len: u8,
-}
-
-impl std::ops::Deref for CumBits {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        &self.bits[..self.len as usize]
     }
 }
 
@@ -197,36 +166,15 @@ impl std::error::Error for WalkError {}
 /// legal recursion pattern on a 5-level table.
 const MAX_STEPS: usize = 8;
 
-/// Fused walk: [`resolve`] with a per-step visitor instead of a
-/// collected step list.
+/// Fused walk from an arbitrary starting node: the suffix of a full
+/// walk, with a per-step visitor instead of a collected step list.
 ///
-/// The visitor sees each [`WalkStep`] the moment it is decoded (before
-/// the entry is read), so timed walkers can issue cache accesses and
-/// PSC training inline without materializing a [`Walk`] first. The
+/// `node_base` (of `node_shape`) is consulted first, consuming VA index
+/// bits from `pos_top` downward — the timed walk kernel starts here at
+/// a paging-structure-cache hit node. The visitor sees each
+/// [`WalkStep`] the moment it is decoded (before the entry is read), so
+/// timed walkers issue cache accesses and PSC training inline; the
 /// final translation is returned as `(pa, size)`.
-///
-/// # Errors
-///
-/// See [`WalkError`]; the first visitor error aborts the walk.
-#[inline]
-pub fn resolve_with<V: FnMut(WalkStep) -> Result<(), WalkError>>(
-    store: &FrameStore,
-    table: &PageTable,
-    va: VirtAddr,
-    visit: &mut V,
-) -> Result<(PhysAddr, PageSize), WalkError> {
-    resolve_from_with(
-        store,
-        table.root,
-        table.root_shape,
-        table.top_level,
-        va,
-        visit,
-    )
-}
-
-/// Fused walk from an arbitrary starting node: [`resolve_from`] with a
-/// per-step visitor.
 ///
 /// The starting [`Level`] is matched once, here; everything below runs
 /// on the monomorphized [`typed`](crate::typed) lattice with no
@@ -273,35 +221,40 @@ pub fn resolve_from_with<V: FnMut(WalkStep) -> Result<(), WalkError>>(
 ///
 /// See [`WalkError`].
 pub fn resolve(store: &FrameStore, table: &PageTable, va: VirtAddr) -> Result<Walk, WalkError> {
-    resolve_from(store, table.root, table.root_shape, table.top_level, va)
+    let mut steps = StepVec::new();
+    let (pa, size) = resolve_from_with(
+        store,
+        table.root,
+        table.root_shape,
+        table.top_level,
+        va,
+        &mut |s| {
+            steps.push(s);
+            Ok(())
+        },
+    )?;
+    Ok(Walk { steps, pa, size })
 }
 
-/// Walks from an arbitrary starting node — the suffix of a full walk.
-///
-/// This is [`resolve`] parameterized on the start: `node_base` (of
-/// `node_shape`) is consulted first, consuming VA index bits from
-/// `pos_top` downward. The timed walker uses it to skip the levels a
-/// paging-structure-cache hit already translated, so a PSC hit avoids
-/// not just the replayed entry reads but the functional lookups too.
-/// The returned [`Walk`] contains only the steps actually taken (the
-/// skipped prefix is absent).
+/// The translation of `va` alone: [`resolve`] without collecting the
+/// steps, for callers that charge no per-step cost.
 ///
 /// # Errors
 ///
 /// See [`WalkError`].
-pub fn resolve_from(
+pub fn translate(
     store: &FrameStore,
-    node_base: PhysAddr,
-    node_shape: NodeShape,
-    pos_top: Level,
+    table: &PageTable,
     va: VirtAddr,
-) -> Result<Walk, WalkError> {
-    let mut steps = StepVec::new();
-    let (pa, size) = resolve_from_with(store, node_base, node_shape, pos_top, va, &mut |s| {
-        steps.push(s);
-        Ok(())
-    })?;
-    Ok(Walk { steps, pa, size })
+) -> Result<(PhysAddr, PageSize), WalkError> {
+    resolve_from_with(
+        store,
+        table.root,
+        table.root_shape,
+        table.top_level,
+        va,
+        &mut |_| Ok(()),
+    )
 }
 
 #[cfg(test)]
