@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! flatwalk-serve [--port N] [--uds PATH] [--no-tcp] [--workers N]
-//!                [--job-threads N] [--queue-depth N] [--cache-mb N]
-//!                [--store DIR] [--slo-ms N] [--job-retries N]
-//!                [--stall-secs N] [--chaos]
+//!                [--job-threads N] [--queue-depth N] [--store DIR]
+//!                [--slo-ms N] [--job-retries N] [--stall-secs N]
+//!                [--chaos]
 //! ```
 //!
 //! Binds `127.0.0.1:<port>` (default: an ephemeral port, announced on
@@ -17,13 +17,16 @@
 //! complete as failed `cancelled` records), for a fast but still
 //! orderly exit.
 //!
-//! `--store DIR` makes results durable: computed cells are written to
-//! a content-addressed store under `DIR` (tmp + fsync + atomic
-//! rename), recovered on the next start, and re-served byte-identical
-//! — a `kill -9` loses at most the cells in flight. `--slo-ms`,
-//! `--job-retries`, and `--stall-secs` tune admission control and the
-//! worker supervisor; `--chaos` allows chaos test hooks in
-//! submissions. Each flag overrides its environment knob
+//! Results stay resident in memory (up to 64 MiB, least recently used
+//! first out). `--store DIR` also makes them durable: computed cells
+//! are written to a content-addressed store under `DIR` (tmp + fsync +
+//! atomic rename), recovered on the next start, and re-served
+//! byte-identical — a `kill -9` loses at most the cells in flight.
+//! Entries computed by a different build of the model are deleted on
+//! start, never served. `--slo-ms`, `--job-retries`, and
+//! `--stall-secs` tune admission control and the worker supervisor;
+//! `--chaos` allows chaos test hooks in submissions. Each flag
+//! overrides its environment knob
 //! (`FLATWALK_STORE_DIR`, `FLATWALK_SLO_MS`, `FLATWALK_JOB_RETRIES`,
 //! `FLATWALK_JOB_STALL_SECS`, `FLATWALK_CHAOS`).
 
@@ -74,8 +77,8 @@ mod sig {
 }
 
 const USAGE: &str = "usage: flatwalk-serve [--port N] [--uds PATH] [--no-tcp] \
-[--workers N] [--job-threads N] [--queue-depth N] [--cache-mb N] \
-[--store DIR] [--slo-ms N] [--job-retries N] [--stall-secs N] [--chaos]";
+[--workers N] [--job-threads N] [--queue-depth N] [--store DIR] \
+[--slo-ms N] [--job-retries N] [--stall-secs N] [--chaos]";
 
 fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig::from_env();
@@ -106,12 +109,6 @@ fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
                 config.queue_depth = value("--queue-depth")?
                     .parse()
                     .map_err(|e| format!("--queue-depth: {e}"))?;
-            }
-            "--cache-mb" => {
-                let mb: u64 = value("--cache-mb")?
-                    .parse()
-                    .map_err(|e| format!("--cache-mb: {e}"))?;
-                config.cache_bytes = mb << 20;
             }
             "--store" => config.store_dir = Some(value("--store")?.into()),
             "--slo-ms" => {
@@ -161,12 +158,13 @@ fn main() -> ExitCode {
     if let Some(path) = handle.uds() {
         println!("listening on uds {}", path.display());
     }
-    if let Some(store) = handle.inner().store() {
+    if let Some(disk) = handle.inner().store().disk() {
         println!(
-            "store at {} ({} entries recovered, {} quarantined)",
-            store.root().display(),
-            store.recovered(),
-            store.quarantined(),
+            "store at {} ({} entries recovered, {} quarantined, {} stale removed)",
+            disk.root().display(),
+            disk.recovered(),
+            disk.quarantined(),
+            disk.stale(),
         );
     }
     println!(

@@ -1,6 +1,6 @@
 //! The resident experiment service: listeners, bounded job queue,
 //! worker pool with supervision, and the per-cell
-//! cache/store/coalesce execution path.
+//! store/coalesce execution path.
 //!
 //! Life of a `submit`:
 //!
@@ -18,15 +18,15 @@
 //! 2. A worker pops the job and fans its cells across the
 //!    work-stealing scheduler (`FLATWALK_JOB_THREADS`, default: the
 //!    worker count), each through [`ServerInner::execute_cell`]:
-//!    result-cache lookup → persistent-store lookup → in-flight
-//!    coalescing → `runner::run_cell_outcome` (the same fault-domain
-//!    entry point the batch binaries use, with the job's fault plan
-//!    re-installed as a thread-scoped plan on every pool thread, plus
-//!    the job's cancel flag as the ambient scoped cancel so a deadline
-//!    stops cells at the next batch boundary). Completed cells are
-//!    rendered once, written through to the store, and streamed to
-//!    subscribers **in index order** — an emit cursor holds back
-//!    out-of-order finishes until their predecessors land.
+//!    result-store lookup → in-flight coalescing →
+//!    `runner::run_cell_outcome` (the same fault-domain entry point the
+//!    batch binaries use, with the job's fault plan re-installed as a
+//!    thread-scoped plan on every pool thread, plus the job's cancel
+//!    flag as the ambient scoped cancel so a deadline stops cells at
+//!    the next batch boundary). Completed cells are rendered once,
+//!    stored (written through to disk when the store is rooted), and
+//!    streamed to subscribers **in index order** — an emit cursor holds
+//!    back out-of-order finishes until their predecessors land.
 //! 3. The finished job stays addressable (`status` / `result`) for the
 //!    server's lifetime.
 //!
@@ -59,8 +59,7 @@ use flatwalk_sim::runner::{self, CancelFlag, Cell, CellOutcome};
 use flatwalk_types::stats::LatencyHistogram;
 
 use crate::proto::{self, JobSpec, Request, PROTOCOL};
-use crate::rcache::{cell_key, CachedCell, ResultCache};
-use crate::store::ResultStore;
+use crate::store::{cell_key, CachedCell, ResultStore, Source, MODEL_FINGERPRINT};
 
 /// How often the non-blocking accept loop polls for connections and
 /// drain completion.
@@ -72,8 +71,8 @@ const SUPERVISE_POLL: Duration = Duration::from_millis(50);
 
 /// Server configuration. Environment knobs (read by [`from_env`]
 /// (ServerConfig::from_env)): `FLATWALK_QUEUE_DEPTH` (default 32),
-/// `FLATWALK_RESULT_CACHE_MB` (default 64), `FLATWALK_JOB_THREADS`
-/// (per-job cell fan-out; default: follow `workers`),
+/// `FLATWALK_JOB_THREADS` (per-job cell fan-out; default: follow
+/// `workers`),
 /// `FLATWALK_STORE_DIR` (persistent store root; unset = memory only),
 /// `FLATWALK_SLO_MS` (admission SLO; 0 = off), `FLATWALK_JOB_RETRIES`
 /// (requeue budget after a worker loss, default 1),
@@ -95,9 +94,9 @@ pub struct ServerConfig {
     pub job_threads: usize,
     /// Maximum queued (not yet running) jobs before `overloaded`.
     pub queue_depth: usize,
-    /// Result-cache byte budget.
-    pub cache_bytes: u64,
-    /// Root of the persistent result store; `None` = memory only.
+    /// Root of the result store's disk half; `None` = memory only. The
+    /// resident half is always bounded by [`RESIDENT_BYTES`]
+    /// (crate::store::RESIDENT_BYTES).
     pub store_dir: Option<PathBuf>,
     /// Admission-control SLO in milliseconds: submissions whose
     /// predicted queue wait exceeds it are shed. `0` disables the SLO
@@ -132,7 +131,6 @@ impl ServerConfig {
             workers: runner::resolve_threads(None),
             job_threads: env_u64("FLATWALK_JOB_THREADS", 0) as usize,
             queue_depth: env_u64("FLATWALK_QUEUE_DEPTH", 32) as usize,
-            cache_bytes: env_u64("FLATWALK_RESULT_CACHE_MB", 64) << 20,
             store_dir: std::env::var("FLATWALK_STORE_DIR")
                 .ok()
                 .filter(|v| !v.trim().is_empty())
@@ -283,10 +281,9 @@ pub struct ServerInner {
     draining: AtomicBool,
     in_flight: AtomicUsize,
     cancel: CancelFlag,
-    cache: ResultCache,
-    /// Disk-backed store beneath the memory cache; `None` runs memory
-    /// only (no `store_dir`, or the directory failed to open).
-    store: Option<ResultStore>,
+    /// The one result tier; memory-only without a `store_dir` or when
+    /// the directory failed to open.
+    store: ResultStore,
     inflight_cells: Mutex<HashMap<String, Arc<InflightSlot>>>,
     /// `submit_key` → job id, for idempotent resubmits.
     submit_keys: Mutex<HashMap<String, u64>>,
@@ -303,24 +300,21 @@ pub struct ServerInner {
 
 impl ServerInner {
     fn new(config: ServerConfig) -> ServerInner {
-        let cache = ResultCache::new(config.cache_bytes);
-        let store = config.store_dir.as_ref().and_then(|dir| {
-            match ResultStore::open(dir) {
-                Ok(store) => {
-                    metrics::gauge_global("store.entries", store.len() as f64);
-                    Some(store)
-                }
-                Err(e) => {
-                    // A broken store directory must not take the
-                    // service down; run memory-only and say so.
-                    eprintln!(
-                        "flatwalk-serve: store {}: {e}; running memory-only",
-                        dir.display()
-                    );
-                    None
-                }
-            }
-        });
+        let store = match &config.store_dir {
+            None => ResultStore::memory(),
+            Some(dir) => ResultStore::open(dir, MODEL_FINGERPRINT).unwrap_or_else(|e| {
+                // A broken store directory must not take the service
+                // down; run memory-only and say so.
+                eprintln!(
+                    "flatwalk-serve: store {}: {e}; running memory-only",
+                    dir.display()
+                );
+                ResultStore::memory()
+            }),
+        };
+        if let Some(disk) = store.disk() {
+            metrics::gauge_global("store.entries", disk.recovered() as f64);
+        }
         ServerInner {
             config,
             queue: Mutex::new(VecDeque::new()),
@@ -330,7 +324,6 @@ impl ServerInner {
             draining: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             cancel: CancelFlag::new(),
-            cache,
             store,
             inflight_cells: Mutex::new(HashMap::new()),
             submit_keys: Mutex::new(HashMap::new()),
@@ -394,9 +387,9 @@ impl ServerInner {
         self.begin_drain();
     }
 
-    /// The disk-backed result store, when one is open.
-    pub fn store(&self) -> Option<&ResultStore> {
-        self.store.as_ref()
+    /// The result store.
+    pub fn store(&self) -> &ResultStore {
+        &self.store
     }
 
     /// Predicted queue wait for a newly submitted job, in nanoseconds:
@@ -578,36 +571,45 @@ impl ServerInner {
             .cloned()
     }
 
-    /// Runs one cell through cache → coalesce → execute.
+    /// Counts and traces one store hit. A resident hit is a cache hit;
+    /// a hit read back from disk is a cache miss the store served.
+    fn serve_hit(&self, job_id: u64, key: &str, value: CachedCell, source: Source) -> CellData {
+        let (counter, metric, op) = match source {
+            Source::Memory => (&self.counters.cache_hits, "serve.cache.hits", "cache_hit"),
+            Source::Disk => (
+                &self.counters.cache_misses,
+                "serve.cache.misses",
+                "store_hit",
+            ),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        metrics::add_global(metric, 1);
+        trace::emit_serve(op, job_id, &key[..key.len().min(80)]);
+        CellData::Done {
+            value,
+            cached: true,
+            coalesced: false,
+        }
+    }
+
+    /// Runs one cell through store → coalesce → execute.
     fn execute_cell(&self, job_id: u64, index: usize, total: usize, cell: &Cell) -> CellData {
         let signature = flatwalk_faults::signature_active();
         let key = cell_key(cell, signature, index, total);
-        if let Some(hit) = self.cache.get(&key) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            metrics::add_global("serve.cache.hits", 1);
-            trace::emit_serve("cache_hit", job_id, &key[..key.len().min(80)]);
-            return CellData::Done {
-                value: hit,
-                cached: true,
-                coalesced: false,
-            };
+        if let Some((value, source)) = self.store.get(&key) {
+            return self.serve_hit(job_id, &key, value, source);
         }
         // Miss: claim the key or join whoever already claimed it. The
-        // cache is re-checked under the map lock — the previous owner
-        // may have inserted and released between our lookup and here.
+        // resident map is re-checked under the map lock — the previous
+        // owner may have stored and released between our lookup and
+        // here.
         let (slot, owner) = {
             let mut map = self
                 .inflight_cells
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = self.cache.get(&key) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                metrics::add_global("serve.cache.hits", 1);
-                return CellData::Done {
-                    value: hit,
-                    cached: true,
-                    coalesced: false,
-                };
+            if let Some(value) = self.store.get_resident(&key) {
+                return self.serve_hit(job_id, &key, value, Source::Memory);
             }
             match map.get(&key) {
                 Some(slot) => (Arc::clone(slot), false),
@@ -639,25 +641,6 @@ impl ServerInner {
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         metrics::add_global("serve.cache.misses", 1);
-        // Owner: before paying for simulation, check the persistent
-        // store — a previous process lifetime may have computed this
-        // cell. A hit is promoted into the memory cache and fulfils
-        // any coalesced waiters, byte-identical to the original run.
-        if let Some(hit) = self.store.as_ref().and_then(|s| s.get(&key)) {
-            self.cache.insert(key.clone(), hit.clone());
-            self.inflight_cells
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&key);
-            *slot.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(Ok(hit.clone()));
-            slot.cv.notify_all();
-            trace::emit_serve("store_hit", job_id, &key[..key.len().min(80)]);
-            return CellData::Done {
-                value: hit,
-                cached: true,
-                coalesced: false,
-            };
-        }
         let outcome = runner::run_cell_outcome(index, total, cell);
         self.counters.cells_executed.fetch_add(1, Ordering::Relaxed);
         metrics::add_global("serve.cells.executed", 1);
@@ -674,14 +657,11 @@ impl ServerInner {
                     run_nanos,
                     retries,
                 };
-                // Insert before unpublishing the slot so a request
-                // arriving in between hits the cache instead of
-                // re-executing. Write-through to the persistent store
+                // Store before unpublishing the slot so a request
+                // arriving in between hits instead of re-executing. A
+                // rooted store also writes through to disk
                 // (best-effort: a full disk must not fail the cell).
-                self.cache.insert(key.clone(), value.clone());
-                if let Some(store) = &self.store {
-                    store.put(&key, &value);
-                }
+                self.store.put(&key, &value);
                 Ok(value)
             }
             CellOutcome::Failed { error, retries } => Err((error, retries)),
@@ -987,9 +967,9 @@ impl ServerInner {
                 self.counters.cache_misses.load(Ordering::Relaxed),
             )
             .push("cells_coalesced", self.cells_coalesced())
-            .push("cache_entries", self.cache.len())
-            .push("cache_bytes", self.cache.bytes())
-            .push("cache_evicted", self.cache.evicted())
+            .push("cache_entries", self.store.len())
+            .push("cache_bytes", self.store.bytes())
+            .push("cache_evicted", self.store.evicted())
             .push(
                 "jobs_deduped",
                 self.counters.jobs_deduped.load(Ordering::Relaxed),
@@ -1023,16 +1003,8 @@ impl ServerInner {
             )
             .push("slo_ms", self.config.slo_ms)
             .push("draining", self.draining());
-        if let Some(store) = &self.store {
-            let mut s = Json::obj();
-            s.push("entries", store.len())
-                .push("recovered", store.recovered())
-                .push("quarantined", store.quarantined())
-                .push("hits", store.hits())
-                .push("misses", store.misses())
-                .push("writes", store.writes())
-                .push("write_errors", store.write_errors());
-            server.push("store", s);
+        if let Some(disk) = self.store.disk() {
+            server.push("store", disk.to_json());
         }
         o.push("protocol", PROTOCOL)
             .push("server", server)
@@ -1639,7 +1611,6 @@ mod tests {
             workers: 2,
             job_threads: 0,
             queue_depth: 4,
-            cache_bytes: 1 << 20,
             store_dir: None,
             slo_ms: 0,
             job_retries: 1,

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Lock-free hot-path lint.
 #
-# The scheduler, setup cache, and serve result cache promise lock-free
+# The scheduler, setup cache, and serve result store promise lock-free
 # READ paths (EXPERIMENTS.md, "Hot-path concurrency rules"). Locks are
 # still legitimate on write/retire paths, in test-only plumbing, and in
 # panic reporting — but every such site must say so: any `.lock()` in
@@ -20,7 +20,6 @@ crates/sync/src/swap.rs
 crates/sync/src/prefetch.rs
 crates/sim/src/setup.rs
 crates/sim/src/runner.rs
-crates/serve/src/rcache.rs
 crates/serve/src/store.rs
 crates/mem/src/numa.rs
 crates/mem/src/dram.rs
@@ -28,6 +27,13 @@ crates/mem/src/dram.rs
 
 status=0
 for f in $HOT_PATH_FILES; do
+    # A listed file that is gone (deleted or renamed) must fail loudly
+    # rather than silently drop out of the lint.
+    if [ ! -f "$f" ]; then
+        echo "listed hot-path file does not exist: $f" >&2
+        status=1
+        continue
+    fi
     # Strip test modules? No — stress tests also must not lock around
     # the primitives they exercise; the tag requirement applies there
     # too.

@@ -22,7 +22,6 @@ fn chaos_server(workers: usize) -> server::ServerHandle {
         workers,
         job_threads: 0,
         queue_depth: 8,
-        cache_bytes: 64 << 20,
         store_dir: None,
         slo_ms: 0,
         job_retries: 1,
@@ -137,7 +136,6 @@ fn exhausted_requeue_budget_fails_the_job_cleanly() {
         workers: 1,
         job_threads: 0,
         queue_depth: 8,
-        cache_bytes: 64 << 20,
         store_dir: None,
         slo_ms: 0,
         job_retries: 0,

@@ -33,7 +33,6 @@ fn test_server(workers: usize, queue_depth: usize) -> server::ServerHandle {
         workers,
         job_threads: 0,
         queue_depth,
-        cache_bytes: 64 << 20,
         store_dir: None,
         slo_ms: 0,
         job_retries: 1,
