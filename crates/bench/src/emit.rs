@@ -1,10 +1,9 @@
-//! Machine-readable experiment reports (`--json <path>` /
-//! `FLATWALK_JSON=<path>`).
+//! Machine-readable experiment reports (`--json <path>`).
 //!
-//! Every experiment binary calls [`record_cells`] (grid batches) or
-//! [`record_report`] (ad-hoc jobs) as results arrive and [`finish`]
-//! once before exiting. With the flag and variable unset all of it is a
-//! no-op — stdout stays byte-identical to a build without JSON
+//! Every experiment calls [`record_cells`] (grid batches) or
+//! [`record_report`] (ad-hoc jobs) as results arrive, and `flatwalk-bench`
+//! calls [`finish`] once before exiting. Without `--json` all of it is
+//! a no-op — stdout stays byte-identical to a build without JSON
 //! reporting.
 //!
 //! Output schema (`flatwalk-report-v1`), stable key order:
@@ -37,27 +36,10 @@ use flatwalk_sim::runner::CellOutcome;
 use flatwalk_sim::SimReport;
 use flatwalk_types::stats::LatencyHistogram;
 
-/// The sink path: `--json <path>` / `--json=<path>` from the command
-/// line, else `FLATWALK_JSON`. Parsed once.
+/// The sink path: `--json <path>`, as passed to
+/// [`configure`](crate::configure).
 fn path() -> Option<&'static str> {
-    static PATH: OnceLock<Option<String>> = OnceLock::new();
-    PATH.get_or_init(|| {
-        let mut args = std::env::args();
-        let mut found = None;
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                found = args.next();
-            } else if let Some(v) = a.strip_prefix("--json=") {
-                found = Some(v.to_string());
-            }
-        }
-        found.or_else(|| {
-            std::env::var("FLATWALK_JSON")
-                .ok()
-                .filter(|v| !v.is_empty())
-        })
-    })
-    .as_deref()
+    crate::SETTINGS.get().and_then(|s| s.json.as_deref())
 }
 
 /// Whether JSON reporting is enabled for this invocation.

@@ -1,15 +1,15 @@
-//! Reusable grid descriptions: the experiment binaries' cell-grid
-//! construction, factored out so other executors — most importantly the
+//! Reusable grid descriptions: the experiments' cell-grid construction,
+//! factored out so other executors — most importantly the
 //! `flatwalk-serve` daemon — can build exactly the same grids by name.
 //!
 //! Each [`GridDef`] is a named, pure builder `fn(Mode, &SimOptions) ->
 //! Grid`: given the mode and the (mode-resolved, possibly overridden)
-//! base options it returns the cells **in the binary's declaration
+//! base options it returns the cells **in the experiment's declaration
 //! order**, which is what makes a served cell's `(index, total)`
 //! position — and therefore its poison-fault profile and its report —
-//! byte-identical to the same cell inside the batch binary's run.
+//! byte-identical to the same cell inside the batch experiment's run.
 //!
-//! Binaries keep their presentation logic (tables, normalization,
+//! Experiments keep their presentation logic (tables, normalization,
 //! paper-reference footers) and call these builders for the cells.
 
 use flatwalk_mem::{Interconnect, NumaTopology};
@@ -28,7 +28,7 @@ use crate::{scenarios, Mode};
 pub struct Grid {
     /// One display label per cell, index-aligned with `cells`.
     pub labels: Vec<String>,
-    /// The cells, in the order the batch binary declares them.
+    /// The cells, in the order the batch experiment declares them.
     pub cells: Vec<Cell>,
 }
 
@@ -54,8 +54,8 @@ impl Grid {
     /// alignment is preserved; declaration order of the survivors is
     /// unchanged, so their reports stay byte-identical to the same
     /// cells inside the unfiltered run (poison-fault positions shift,
-    /// which is why `--faults` and `--scheme` are rejected together by
-    /// the binaries' shared parsing).
+    /// which is why the experiment command line rejects `--faults` and
+    /// `--scheme` together).
     pub fn retain_matching(&mut self, needle: &str) {
         let needle = needle.to_ascii_lowercase();
         let keep: Vec<bool> = self
@@ -73,7 +73,7 @@ impl Grid {
 /// A named grid builder the server (or any other executor) can run.
 #[derive(Debug, Clone, Copy)]
 pub struct GridDef {
-    /// Registry name (matches the batch binary's grid label).
+    /// Registry name (matches the batch experiment's grid label).
     pub name: &'static str,
     /// One-line description.
     pub about: &'static str,
@@ -561,7 +561,7 @@ pub fn numa_rivals_suite(mode: Mode) -> Vec<WorkloadSpec> {
     }
 }
 
-/// Cross-scheme × topology grid (see `numa_rivals` binary): per
+/// Cross-scheme × topology grid (see the `numa_rivals` experiment): per
 /// topology, the native FPT+PTP column then the rival columns
 /// (NUMA-Base, Mitosis, Victima), each over the suite at 0 % LP.
 /// Rival cells run through [`flatwalk_baselines::run_rival`], so the

@@ -1,74 +1,56 @@
-//! Shared harness for the experiment binaries that regenerate the
-//! paper's tables and figures.
+//! Shared harness for the `flatwalk-bench` experiment command line,
+//! which regenerates the paper's tables and figures.
 //!
-//! Each binary under `src/bin/` reproduces one table or figure; run
-//! them as `cargo run --release -p flatwalk-bench --bin fig09_native_perf
-//! -- [--quick|--std|--paper]`. See `DESIGN.md` §3 for the experiment
-//! index and `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! Each experiment reproduces one table or figure; run one as
+//! `cargo run --release -p flatwalk-bench -- fig09_native_perf
+//! [--quick|--std|--paper]`. The per-figure renderers live in the
+//! binary (`src/experiments/`); this library holds what they share
+//! with `flatwalk-serve`: [`Mode`], the [`grids`] registry, the
+//! parallel cell runners and the [`emit`] JSON sink. See `DESIGN.md`
+//! §3 for the experiment index and `EXPERIMENTS.md` for recorded
+//! paper-vs-measured results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use flatwalk_os::FragmentationScenario;
 use flatwalk_sim::runner::{self, Cell, Progress};
-use flatwalk_sim::{NativeSimulation, SimOptions, SimReport, TranslationConfig};
+use flatwalk_sim::{SimOptions, SimReport};
 use flatwalk_types::stats::geometric_mean;
-use flatwalk_workloads::WorkloadSpec;
 
 pub mod emit;
 pub mod grids;
 
 pub use flatwalk_sim::runner::Cell as GridCell;
 
-/// Installs the env-configured trace sink (`FLATWALK_TRACE`), turns on
-/// span collection for `FLATWALK_SPANS_FOLDED`, and installs the fault
-/// plan (`--faults <seed>[:profile]` / `FLATWALK_FAULTS`) exactly
-/// once per process. Every harness entry point routes through this, so
-/// binaries need no explicit setup.
-fn init_observability() {
-    static INIT: std::sync::Once = std::sync::Once::new();
-    INIT.call_once(|| {
-        flatwalk_obs::trace::init_from_env();
-        // The folded span dump needs spans collected whether or not
-        // `FLATWALK_TRACE` names the `spans` channel.
-        if std::env::var("FLATWALK_SPANS_FOLDED").is_ok_and(|p| !p.is_empty()) {
-            flatwalk_obs::trace::fold_spans();
-        }
-        install_fault_plan();
-    });
+/// The run-wide settings [`configure`] installs.
+#[derive(Debug)]
+struct Settings {
+    threads: Option<usize>,
+    json: Option<String>,
 }
 
-/// Parses and installs the deterministic fault plan, if one was
-/// requested. A malformed spec is a fatal usage error (exit 2): unlike
-/// a typoed trace path, silently running *without* the requested
-/// faults would invalidate whatever the run was meant to show.
-fn install_fault_plan() {
-    let mut args = std::env::args();
-    let mut spec = None;
-    while let Some(a) = args.next() {
-        if a == "--faults" {
-            spec = args.next();
-        } else if let Some(v) = a.strip_prefix("--faults=") {
-            spec = Some(v.to_string());
-        }
+static SETTINGS: OnceLock<Settings> = OnceLock::new();
+
+/// Configures this process for one experiment run: the worker-thread
+/// count (`--threads`; `None` falls back to `FLATWALK_THREADS`, then
+/// the machine's available parallelism), the JSON report path
+/// (`--json`, see [`emit`]), the env-configured trace sink
+/// (`FLATWALK_TRACE`) and span collection for `FLATWALK_SPANS_FOLDED`.
+/// Call once, before the first grid runs.
+pub fn configure(threads: Option<usize>, json: Option<String>) {
+    flatwalk_obs::trace::init_from_env();
+    // The folded span dump needs spans collected whether or not
+    // `FLATWALK_TRACE` names the `spans` channel.
+    if std::env::var("FLATWALK_SPANS_FOLDED").is_ok_and(|p| !p.is_empty()) {
+        flatwalk_obs::trace::fold_spans();
     }
-    let spec = spec.or_else(|| {
-        std::env::var("FLATWALK_FAULTS")
-            .ok()
-            .filter(|v| !v.is_empty())
-    });
-    let Some(spec) = spec else {
-        return;
-    };
-    match flatwalk_faults::FaultPlan::parse(&spec) {
-        Ok(plan) => flatwalk_faults::install(plan),
-        Err(e) => {
-            eprintln!("--faults: {e}");
-            std::process::exit(2);
-        }
-    }
+    SETTINGS
+        .set(Settings { threads, json })
+        .expect("configure runs once per process");
 }
 
 /// Grid cells that ended in [`CellOutcome::Failed`] so far. Read by
@@ -83,9 +65,9 @@ pub fn failed_cells() -> usize {
 /// Publishes end-of-run telemetry (cell-wall latency gauges, the
 /// optional `FLATWALK_SPANS_FOLDED` flamegraph dump), emits the JSON
 /// report (like [`emit::finish`]), and then exits with status 1 if any
-/// grid cell failed. Experiment binaries call this as their last
-/// statement so a faulted grid still renders every healthy cell and
-/// the full report before the failure is surfaced to CI.
+/// grid cell failed. `flatwalk-bench` calls this last, so a
+/// faulted grid still renders every healthy cell and the full report
+/// before the failure is surfaced to CI.
 ///
 /// The `FLATWALK_TRACE` sink is torn down first: the tracer lives in a
 /// process-wide static whose destructor never runs at exit, so without
@@ -118,25 +100,10 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Parses the conventional CLI flags (`--quick`, `--std`,
-    /// `--paper`); defaults to [`Mode::Std`].
-    pub fn from_args() -> Mode {
-        init_observability();
-        for a in std::env::args() {
-            match a.as_str() {
-                "--quick" => return Mode::Quick,
-                "--paper" => return Mode::Paper,
-                "--std" => return Mode::Std,
-                _ => {}
-            }
-        }
-        Mode::Std
-    }
-
     /// Parses a mode name as it appears on the wire (`"quick"`,
-    /// `"std"`, `"paper"`; case-insensitive). Unlike [`Mode::from_args`]
-    /// this touches no process-global state, so the server can resolve
-    /// per-request modes with it.
+    /// `"std"`, `"paper"`; case-insensitive). It touches no
+    /// process-global state, so the server can resolve per-request
+    /// modes with it.
     pub fn parse(name: &str) -> Option<Mode> {
         match name.trim().to_ascii_lowercase().as_str() {
             "quick" => Some(Mode::Quick),
@@ -188,101 +155,14 @@ impl Mode {
     }
 }
 
-/// The `--scheme <name>` cell filter shared by the grid binaries:
-/// when present, binaries keep only the cells whose label mentions the
-/// scheme (case-insensitive substring, via
-/// [`grids::Grid::retain_matching`]), so one column — `Victima`,
-/// `Mitosis`, a config label — can be re-run in isolation. Combining
-/// it with `--faults` is a usage error (exit 2): the fault plan keys
-/// on a cell's `(index, total)` grid position, which filtering shifts,
-/// so the combination would silently fault different cells than the
-/// full run.
-pub fn scheme_filter() -> Option<String> {
-    let mut args = std::env::args();
-    let mut filter = None;
-    let mut faults = false;
-    while let Some(a) = args.next() {
-        if a == "--scheme" {
-            filter = args.next();
-        } else if let Some(v) = a.strip_prefix("--scheme=") {
-            filter = Some(v.to_string());
-        } else if a == "--faults" || a.starts_with("--faults=") {
-            faults = true;
-        }
-    }
-    if filter.is_some() && faults {
-        eprintln!("--scheme cannot be combined with --faults: fault plans key on grid positions, which filtering shifts");
-        std::process::exit(2);
-    }
-    filter
-}
-
-/// Applies [`scheme_filter`] to a built grid, announcing the filter on
-/// stdout. An empty result is a usage error (exit 2): a typoed scheme
-/// name should not masquerade as a clean zero-cell run.
-pub fn apply_scheme_filter(label: &str, grid: &mut grids::Grid) {
-    let Some(filter) = scheme_filter() else {
-        return;
-    };
-    let before = grid.len();
-    grid.retain_matching(&filter);
-    if grid.is_empty() {
-        eprintln!("--scheme {filter}: no matching cells in {label} ({before} total)");
-        std::process::exit(2);
-    }
-    println!("scheme filter: {filter} ({} of {before} cells)", grid.len());
-}
-
-/// Shared `--scheme` entry point for the grid binaries: returns false
-/// (and builds nothing) when the flag is absent, letting the binary
-/// run its normal full-grid path. When present, builds the grid,
-/// filters it, runs the survivors, and prints the generic per-cell
-/// table — a binary's full-grid presentation (normalized columns,
-/// geomeans against sibling cells) needs the whole grid, so a
-/// filtered calibration run reports raw per-cell numbers instead.
-/// The caller should `finish` and return immediately on true.
-pub fn run_scheme_filtered(label: &'static str, build: impl FnOnce() -> grids::Grid) -> bool {
-    if scheme_filter().is_none() {
-        return false;
-    }
-    let mut grid = build();
-    apply_scheme_filter(label, &mut grid);
-    let labels = grid.labels.clone();
-    let reports = run_cells(label, grid.cells);
-    let rows: Vec<Vec<String>> = labels
-        .iter()
-        .zip(&reports)
-        .map(|(l, r)| {
-            vec![
-                l.clone(),
-                format!("{:.4}", r.ipc()),
-                format!("{:.2}", r.walk.accesses_per_walk()),
-                format!("{:.1}", r.walk.latency_per_walk()),
-            ]
-        })
-        .collect();
-    print_table(&["cell", "IPC", "acc/walk", "walk-lat"], &rows);
-    true
-}
-
-/// Worker-thread count for this invocation: `--threads N` from the
-/// command line, else `FLATWALK_THREADS`, else the machine's available
-/// parallelism. Grid results are byte-identical at any value.
-pub fn threads() -> usize {
-    let mut args = std::env::args();
-    let mut explicit = None;
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            explicit = args.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            explicit = v.parse().ok();
-        }
-    }
-    runner::resolve_threads(explicit)
+/// Worker-thread count for this run (see [`configure`]). Grid
+/// results are byte-identical at any value.
+pub(crate) fn threads() -> usize {
+    runner::resolve_threads(SETTINGS.get().and_then(|s| s.threads))
 }
 
 /// Runs a batch of native-simulation cells across the worker pool
-/// (see [`threads`]), returning reports in cell order. Each cell's
+/// (see [`configure`]), returning reports in cell order. Each cell's
 /// report and setup/run time split are forwarded to the JSON sink
 /// ([`emit`]) when one is configured.
 ///
@@ -292,7 +172,6 @@ pub fn threads() -> usize {
 /// "failed"`), and [`finish`] will exit non-zero once the whole grid
 /// has been rendered.
 pub fn run_cells(label: &'static str, cells: Vec<Cell>) -> Vec<SimReport> {
-    init_observability();
     let workloads: Vec<String> = cells.iter().map(|c| c.workload.name.to_string()).collect();
     let outcomes = runner::run_cells_timed(label, cells, threads());
     emit::record_cells(label, &outcomes);
@@ -335,20 +214,8 @@ where
     R: Send,
     F: Fn(J) -> R + Sync,
 {
-    init_observability();
     let progress = Progress::new(label, jobs.len());
     runner::run_ordered(jobs, threads(), &progress, |_| sim_ops, f)
-}
-
-/// Runs one benchmark under one configuration and scenario.
-pub fn run_native(
-    spec: &WorkloadSpec,
-    config: &TranslationConfig,
-    opts: &SimOptions,
-    scenario: FragmentationScenario,
-) -> SimReport {
-    let opts = std::sync::Arc::new(opts.clone().with_scenario(scenario));
-    NativeSimulation::build_shared(spec.clone(), config.clone(), opts).run()
 }
 
 /// Geometric-mean speedup of `reports` against `baselines`, matched by

@@ -7,8 +7,15 @@ use std::process::Command;
 fn spans_folded_alone_writes_folded_lines() {
     let path =
         std::env::temp_dir().join(format!("flatwalk-spans-folded-{}.txt", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_fig01_headline"))
-        .args(["--quick", "--threads", "1", "--scheme", "dc/FPT+PTP"])
+    let out = Command::new(env!("CARGO_BIN_EXE_flatwalk-bench"))
+        .args([
+            "fig01_headline",
+            "--quick",
+            "--threads",
+            "1",
+            "--scheme",
+            "dc/FPT+PTP",
+        ])
         .env("FLATWALK_PROGRESS", "0")
         .env_remove("FLATWALK_TRACE")
         .env("FLATWALK_SPANS_FOLDED", &path)

@@ -1,9 +1,9 @@
 //! flatwalk-serve: a persistent experiment service for the flatwalk
 //! simulator.
 //!
-//! Batch binaries (`sec71_pwc_sweep` & friends) pay full setup and
-//! simulation cost on every invocation. This crate keeps a simulator
-//! process resident instead: a daemon (`flatwalk-serve`) accepts
+//! Batch runs (`flatwalk-bench sec71_pwc_sweep` & friends) pay full
+//! setup and simulation cost on every invocation. This crate keeps a
+//! simulator process resident instead: a daemon (`flatwalk-serve`) accepts
 //! experiment-grid jobs over a newline-delimited JSON protocol
 //! ([`proto`], `flatwalk-serve-v1`), executes them on a worker pool
 //! through the same fault-domain runner the batch path uses, and
@@ -41,8 +41,9 @@
 //! 1), `FLATWALK_JOB_STALL_SECS` (stall watchdog, default 600, 0 =
 //! off), `FLATWALK_CHAOS` (enable chaos test hooks), plus the
 //! simulator-wide `FLATWALK_THREADS`, `FLATWALK_CELL_RETRIES`,
-//! `FLATWALK_CELL_DEADLINE_SECS`, `FLATWALK_TRACE`, and
-//! `FLATWALK_FAULTS`. The resident result budget is the fixed
+//! `FLATWALK_CELL_DEADLINE_SECS`, and `FLATWALK_TRACE`. Fault plans
+//! arrive per job (`JobSpec.faults`), never from the environment. The
+//! resident result budget is the fixed
 //! [`store::RESIDENT_BYTES`] (64 MiB).
 
 pub mod client;

@@ -4,13 +4,14 @@
 # The generic engine instantiates its walk loop once per (backend x
 # scheme x level-shape) combination; that is the point, but it means a
 # careless new type parameter can multiply code size. This script
-# compares the release experiment binaries against the committed
-# baseline (scripts/bloat_baseline.tsv, captured when the engine
-# landed) and warns when any binary has grown more than 20 %.
+# compares the release experiment binary (flatwalk-bench) against the
+# committed baseline (scripts/bloat_baseline.tsv) and warns when it has
+# grown more than 20 %.
 #
 # Usage:
 #   sh scripts/check_bloat.sh            # warn on >20 % growth (exit 0)
-#   sh scripts/check_bloat.sh --strict   # exit 1 on >20 % growth
+#   sh scripts/check_bloat.sh --strict   # exit 1 on >20 % growth or a
+#                                        # baselined binary not built
 #   sh scripts/check_bloat.sh --update   # rewrite the baseline
 #
 # Binaries must already be built: cargo build --release --workspace
@@ -27,20 +28,14 @@ size_of() {
     wc -c <"$1" | tr -d ' '
 }
 
-bins() {
-    for src in crates/bench/src/bin/*.rs; do
-        basename "$src" .rs
-    done
-}
-
 if [ "$mode" = "--update" ]; then
-    : >"$baseline"
-    for bin in $(bins); do
-        if [ -f "$bindir/$bin" ]; then
-            printf '%s\t%s\n' "$bin" "$(size_of "$bindir/$bin")" >>"$baseline"
-        fi
-    done
-    echo "wrote $(wc -l <"$baseline" | tr -d ' ') baseline sizes to $baseline"
+    bin=flatwalk-bench
+    if [ ! -f "$bindir/$bin" ]; then
+        echo "$bindir/$bin not built — run 'cargo build --release -p flatwalk-bench' first" >&2
+        exit 1
+    fi
+    printf '%s\t%s\n' "$bin" "$(size_of "$bindir/$bin")" >"$baseline"
+    echo "wrote the $bin baseline size to $baseline"
     exit 0
 fi
 
@@ -54,7 +49,9 @@ checked=0
 while IFS="$(printf '\t')" read -r bin base_size; do
     [ -n "$bin" ] || continue
     if [ ! -f "$bindir/$bin" ]; then
-        echo "::warning::check_bloat: $bindir/$bin not built, skipping"
+        # A renamed or unbuilt binary must not silently leave the guard.
+        echo "::warning::check_bloat: $bindir/$bin not built"
+        status=1
         continue
     fi
     now_size=$(size_of "$bindir/$bin")
